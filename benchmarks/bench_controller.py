@@ -2,9 +2,10 @@
 
 Times the full Table I phase workload (all ten configurations, both
 mappings, both phases, n=512, vectorized address chunks) through three
-arbiters: the event-wheel batch-advance kernel
-(:mod:`repro.dram.kernel`), the unified scheduling engine
-(:mod:`repro.dram.engine`) and the frozen pre-engine scheduler
+arbiters: the native event-wheel batch-advance kernel
+(:mod:`repro.dram.kernel`, the default wherever it builds), the
+general scheduling engine (:mod:`repro.dram.engine`, the fallback)
+and the frozen pre-engine scheduler
 (:mod:`repro.dram._reference`).  All three must be bit-identical; the
 engine must beat the seed and the kernel must beat the engine by the
 pinned factors below.  A small mixed-traffic cell times the turnaround
@@ -23,13 +24,9 @@ import pytest
 
 from repro.dram import _kernelc
 from repro.dram._reference import reference_run_phase
-from repro.dram.controller import (
-    ENGINE_KERNEL,
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import steady_state_interleaver
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -67,20 +64,20 @@ def _chunks(mapping, op):
             else mapping.read_addresses_array())
 
 
-def _engine_grid():
+def _grid(scheduler_class):
     return [
-        MemoryController(config, ControllerConfig())
-        .run_phase(_chunks(mapping, op), op).stats
+        scheduler_class(config, ControllerConfig())
+        .run(as_workload(_chunks(mapping, op)), op).stats
         for config, mapping, op in _phase_grid()
     ]
+
+
+def _engine_grid():
+    return _grid(SchedulingEngine)
 
 
 def _kernel_grid():
-    return [
-        MemoryController(config, ControllerConfig(), engine=ENGINE_KERNEL)
-        .run_phase(_chunks(mapping, op), op).stats
-        for config, mapping, op in _phase_grid()
-    ]
+    return _grid(KernelEngine)
 
 
 def _seed_grid():
@@ -138,26 +135,22 @@ def test_engine_vs_seed_scheduler_speedup(benchmark):
 
 @pytest.mark.paper_artifact("Table I (batch-advance kernel)")
 def test_kernel_vs_engine_speedup(benchmark):
-    """Wall-clock of every Table I phase, batch-advance kernel vs engine.
+    """Wall-clock of every Table I phase, native kernel vs general engine.
 
-    The kernel path (``--kernel`` / ``engine="kernel"``) must be
-    bit-identical to the general engine on the full grid and — with the
-    compiled backend available — at least ``KERNEL_REQUIRED_SPEEDUP``
-    times faster.  Pure-Python-fallback identity is pinned separately
-    by ``tests/dram/test_kernel_differential.py``; the speedup contract
-    only applies to the compiled segment loop.
+    The native kernel (what ``make_scheduler`` picks wherever it builds)
+    must be bit-identical to the general engine on the full grid and at
+    least ``KERNEL_REQUIRED_SPEEDUP`` times faster.
     """
+    if not _kernelc.available():
+        pytest.skip("native kernel unavailable on this host")
     kernel_stats = benchmark.pedantic(_kernel_grid, rounds=1, iterations=1)
     engine_stats = _engine_grid()
     assert kernel_stats == engine_stats  # bit-identical before it may be faster
 
     benchmark.extra_info["phases"] = 40
     benchmark.extra_info["requests_per_phase"] = TriangularIndexSpace(N).num_elements
-    benchmark.extra_info["native_backend"] = _kernelc.available()
     if benchmark.disabled:  # smoke runs only check for rot, not timing
         return
-    if not _kernelc.available():
-        pytest.skip("compiled kernel backend unavailable on this host")
 
     engine_seconds, kernel_seconds = _interleaved_best((_engine_grid, _kernel_grid))
     speedup = engine_seconds / kernel_seconds

@@ -7,6 +7,8 @@ Public surface:
   :func:`~repro.dram.presets.all_configs` — the ten Table I devices;
 * :class:`~repro.dram.controller.MemoryController` /
   :class:`~repro.dram.controller.ControllerConfig` — the scheduler;
+* :func:`~repro.dram.kernel.make_scheduler` — picks the native kernel
+  or the general engine (identical results);
 * :func:`~repro.dram.simulator.simulate_interleaver` — one-call
   write+read phase simulation;
 * :class:`~repro.dram.address.DramAddress`,
@@ -50,6 +52,7 @@ from repro.dram.engine import (
     trace_requests,
 )
 from repro.dram.geometry import Geometry
+from repro.dram.kernel import make_scheduler
 from repro.dram.presets import (
     REFRESH_ALL_BANK,
     REFRESH_PER_BANK,
@@ -122,6 +125,7 @@ __all__ = [
     "energy_params_for",
     "refresh_command_energy_pj",
     "interleaved_stream",
+    "make_scheduler",
     "interleaver_energy",
     "from_datasheet",
     "get_config",

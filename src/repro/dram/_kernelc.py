@@ -1,23 +1,25 @@
 """Native backend for the batch-advance scheduling kernel.
 
-The kernel's hot loop (:mod:`repro.dram.kernel`) has two
-implementations: a pure-Python port of the general engine and this
-compiled *segment loop*.  The segment loop runs the eval / commit /
-arbitrate / pop / admit cycle over the flat int64 state tables and
-returns to Python only at **refresh boundaries** (and when the
-command-record buffer needs growing), so the Python
-:class:`~repro.dram.refresh.RefreshScheduler` is never duplicated: the
-wrapper in :mod:`repro.dram.kernel` applies refresh events on the same
-arrays the compiled code mutates and re-enters the segment.
+The kernel's hot loop (:mod:`repro.dram.kernel`) is this compiled
+*segment loop*.  It runs the eval / commit / arbitrate / pop / admit
+cycle over the flat int64 state tables and returns to Python only at
+**refresh boundaries** (and when the fixed-size command-record tape
+needs draining), so the Python :class:`~repro.dram.refresh.RefreshScheduler`
+is never duplicated: the wrapper in :mod:`repro.dram.kernel` applies
+refresh events on the same arrays the compiled code mutates and
+re-enters the segment.
 
-The backend is strictly optional.  It compiles one translation unit
-with the system C compiler at first use (cached per source hash under
-the user's temp directory, override with ``REPRO_KERNELC_CACHE``) and
-loads it through ``cffi``.  When a compiler or ``cffi`` is
-unavailable — or ``REPRO_KERNEL_NATIVE=0`` is set — :func:`load`
-returns ``None`` and the kernel transparently falls back to its
-pure-Python loop, which is bit-identical by the same differential
-batteries.
+The object is built from one translation unit with the system C
+compiler at first use (cached per source hash under the user's temp
+directory, override with ``REPRO_KERNELC_CACHE``) and loaded through
+the standard library's ``ctypes``, so it needs no third-party
+package.  A cached object is loaded only from a directory and file
+owned by the current user that nobody else can write; otherwise the
+object is built afresh in a private temporary directory.  Nothing is built or loaded at import time.  Without a
+compiler :func:`load` returns ``None`` and
+:func:`repro.dram.kernel.make_scheduler` picks the general engine; a
+compiler that exists but fails the build also warns once, naming the
+shared-object path and the compiler's last stderr lines.
 
 All arithmetic is exact int64: timestamps in this project stay below
 ``10**15`` picoseconds and the far-future sentinel is ``10**18``, so no
@@ -30,12 +32,16 @@ first CAS of a phase).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import tempfile
+import warnings
 from shutil import which
-from typing import Any, Optional, Tuple
+from typing import Callable, Optional
 
 #: Scalar-slot indices shared with the C side (keep in sync with the
 #: ``S_*`` enum in :data:`SOURCE`).
@@ -65,17 +71,6 @@ REC_ACT = 0
 REC_PRE = 1
 REC_CAS = 2
 REC_REF = 3
-
-CDEF = """
-int64_t run_segment(const int64_t *cfg, int64_t *sc,
-    const int64_t *banks, const int64_t *rows, const int64_t *cols,
-    const int64_t *qseqs, const int64_t *qstart,
-    int64_t *head, int64_t *adm, int64_t *bstate,
-    int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
-    int64_t *pre_allowed, int64_t *act_allowed,
-    const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec);
-"""
 
 SOURCE = r"""
 #include <stdint.h>
@@ -117,6 +112,9 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
 #define H_E(i)   heap[(i) * 5 + 3]
 #define H_R(i)   heap[(i) * 5 + 4]
 
+/* Every argument is a flat int64 array.  `heap` holds n_banks + 2
+ * entries and `commit_idx` n_banks slots (at most one deferred
+ * activation per bank), so the loop has no bank-count limit. */
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
     const int64_t *qseqs, const int64_t *qstart,
@@ -124,7 +122,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec)
+    int64_t *fresh, int64_t *heap, int64_t *commit_idx, int64_t *rec)
 {
     const int64_t n_banks = cfg[C_N_BANKS];
     const int64_t tck = cfg[C_TCK];
@@ -170,7 +168,6 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t fresh_count = sc[S_FRESH_COUNT];
     int64_t rec_count = sc[S_REC_COUNT];
 
-    int64_t commit_idx[64];
     int64_t exit_reason = EXIT_DONE_SENTINEL;
 
     for (;;) {
@@ -434,76 +431,140 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
 # constant appearing twice; substitute it before compiling.
 SOURCE = SOURCE.replace("EXIT_DONE_SENTINEL", "0")
 
-_loaded: Optional[Tuple[Any, Any]] = None
+#: Arguments of ``run_segment``, every one an ``int64_t *``.
+N_ARGS = 22
+
+#: Compiler stderr lines quoted by the failed-build warning.
+_STDERR_TAIL_LINES = 8
+
+_loaded: Optional[Callable[..., int]] = None
 _load_attempted = False
 
 
-def _cache_path() -> str:
-    """Shared-object path for the current source (per-user, per-hash)."""
+def _so_name() -> str:
+    """Shared-object file name for the current source (per hash)."""
     digest = hashlib.sha256(SOURCE.encode("utf-8")).hexdigest()[:20]
+    return f"kernel-{digest}.so"
+
+
+def _cache_path() -> str:
+    """Shared-object path in the per-user cache directory."""
     uid = os.getuid() if hasattr(os, "getuid") else 0
     root = os.environ.get("REPRO_KERNELC_CACHE") or os.path.join(
         tempfile.gettempdir(), f"repro-kernelc-{uid}")
-    return os.path.join(root, f"kernel-{digest}.so")
+    return os.path.join(root, _so_name())
+
+
+def _is_private(path: str, is_dir: bool) -> bool:
+    """Whether ``path`` is a real directory / regular file (not a
+    symlink) owned by the current user and writable by no one else."""
+    if not hasattr(os, "getuid"):
+        return False
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    is_kind = stat.S_ISDIR if is_dir else stat.S_ISREG
+    return (is_kind(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _trusted_cache_path() -> Optional[str]:
+    """The cached object's path if the cache can be trusted, else ``None``.
+
+    The cache directory is created ``0o700``.  A directory or object
+    that another user owns or could have written is never loaded.
+    """
+    so_path = _cache_path()
+    directory = os.path.dirname(so_path)
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+    except OSError:
+        return None
+    if not _is_private(directory, is_dir=True):
+        return None
+    if os.path.lexists(so_path) and not _is_private(so_path, is_dir=False):
+        return None
+    return so_path
+
+
+def _warn_build_failed(so_path: str, detail: str) -> None:
+    """The one loud signal that the native scheduler is off."""
+    warnings.warn(
+        f"native scheduling kernel {so_path} could not be built; "
+        f"using the general engine (same results, slower): {detail}",
+        RuntimeWarning, stacklevel=2)
 
 
 def _compile(so_path: str) -> bool:
-    """Compile :data:`SOURCE` to ``so_path``; ``False`` on any failure."""
+    """Compile :data:`SOURCE` to ``so_path``; ``False`` on any failure.
+
+    No compiler is a quiet ``False``; a compiler that fails warns.
+    """
     compiler = which("cc") or which("gcc")
     if compiler is None:
         return False
-    directory = os.path.dirname(so_path)
+    c_path = so_path + f".{os.getpid()}.c"
+    tmp_so = so_path + f".{os.getpid()}.tmp"
     try:
-        os.makedirs(directory, exist_ok=True)
-        c_path = so_path + f".{os.getpid()}.c"
-        tmp_so = so_path + f".{os.getpid()}.tmp"
         with open(c_path, "w", encoding="utf-8") as fh:
             fh.write(SOURCE)
         proc = subprocess.run(
             [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
             capture_output=True)
         if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            tail = "\n".join(stderr.splitlines()[-_STDERR_TAIL_LINES:])
+            _warn_build_failed(
+                so_path, f"{compiler} exited {proc.returncode}\n{tail}")
             return False
         os.replace(tmp_so, so_path)  # atomic vs concurrent builders
         return True
-    except OSError:
+    except OSError as exc:
+        _warn_build_failed(so_path, str(exc))
         return False
     finally:
-        for leftover in (so_path + f".{os.getpid()}.c",
-                         so_path + f".{os.getpid()}.tmp"):
+        for leftover in (c_path, tmp_so):
             try:
                 os.unlink(leftover)
             except OSError:
                 pass
 
 
-def load() -> Optional[Tuple[Any, Any]]:
-    """Return ``(ffi, lib)`` for the compiled segment loop, or ``None``.
+def load() -> Optional[Callable[..., int]]:
+    """Return the compiled ``run_segment`` function, or ``None``.
 
-    The result is cached for the process; a failed attempt is not
-    retried.  Set ``REPRO_KERNEL_NATIVE=0`` to force the pure-Python
-    kernel loop regardless of toolchain availability.
+    Builds the shared object on first use.  The result is cached for
+    the process; a failed attempt is not retried.
     """
     global _loaded, _load_attempted
     if _load_attempted:
         return _loaded
     _load_attempted = True
-    if os.environ.get("REPRO_KERNEL_NATIVE", "1") == "0":
-        return None
+    so_path = _trusted_cache_path()
+    private_dir = None
+    if so_path is None:
+        try:
+            private_dir = tempfile.mkdtemp(prefix="repro-kernelc-")
+        except OSError as exc:
+            _warn_build_failed(_cache_path(), str(exc))
+            return None
+        so_path = os.path.join(private_dir, _so_name())
     try:
-        import cffi
-    except ImportError:  # pragma: no cover - cffi is in the toolchain
-        return None
-    so_path = _cache_path()
-    if not os.path.exists(so_path) and not _compile(so_path):
-        return None
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef(CDEF)
-        lib = ffi.dlopen(so_path)
-    except (OSError, cffi.error.FFIError, cffi.error.CDefError):
-        return None
-    _loaded = (ffi, lib)
+        if not os.path.exists(so_path) and not _compile(so_path):
+            return None
+        try:
+            run_segment = ctypes.CDLL(so_path).run_segment
+        except (OSError, AttributeError) as exc:
+            _warn_build_failed(so_path, str(exc))
+            return None
+    finally:
+        if private_dir is not None:
+            # The mapped object outlives its file; nothing is left behind.
+            shutil.rmtree(private_dir, ignore_errors=True)
+    run_segment.restype = ctypes.c_int64
+    run_segment.argtypes = [ctypes.c_void_p] * N_ARGS
+    _loaded = run_segment
     return _loaded
 
 

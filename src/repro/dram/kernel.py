@@ -1,14 +1,20 @@
-"""Batch-advance scheduling kernel: the fast homogeneous arbiter.
+"""Batch-advance scheduling kernel and the scheduler selection.
 
-This module is the raw-speed counterpart of
-:class:`repro.dram.engine.SchedulingEngine`.  Both engines are
-event-driven (no clock ticking; issue slots are computed directly and
-quantized to the command clock), but the general engine pays a
+:func:`make_scheduler` is the one place that picks the scheduler: the
+native :class:`KernelEngine` when its compiled segment loop loads
+(:mod:`repro.dram._kernelc`), the general
+:class:`repro.dram.engine.SchedulingEngine` otherwise.  Both produce
+bit-identical results, so the choice is invisible in every table,
+payload and store key; it only changes the wall clock.
+
+The kernel is the raw-speed counterpart of the general engine.  Both
+are event-driven (no clock ticking; issue slots are computed directly
+and quantized to the command clock), but the general engine pays a
 per-command price that has nothing to do with the schedule itself:
 every pop maintains a sorted ``ready_order`` list (``insort`` +
 positional delete) and every arbitration walks the ready heads
-oldest-first.  On the Table I phase workload those two account for most
-of the wall clock.
+oldest-first.  On the Table I phase workload those two account for
+most of the wall clock.
 
 :class:`KernelEngine` removes both costs for homogeneous phases while
 producing **bit-identical** schedules:
@@ -19,10 +25,10 @@ producing **bit-identical** schedules:
   scheduling loop reads flat timestamp/queue tables and never builds a
   Python tuple per request;
 * **timestamp table** — per-bank next-ready timestamps
-  (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
-  in the same flat table the general engine keeps, shared by reference
-  so the two engines can be swapped mid-controller with warm bank
-  state intact;
+  (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) are
+  copied from the wrapped general engine's table on entry and written
+  back on exit, so consecutive phases see warm bank state exactly as
+  the general engine would leave it;
 * **min-reduction arbitration** — the sorted ready list and the
   oldest-first walk are replaced by one unsorted pass over the bank
   columns computing the walk's outcome directly: the oldest head whose
@@ -32,13 +38,11 @@ producing **bit-identical** schedules:
   to the oldest) wins at its own slot.  This is exactly the general
   engine's decision rule, reached without maintaining any ordered
   structure per pop;
-* **compiled segment loop** — when a C toolchain is available
-  (:mod:`repro.dram._kernelc`), the eval / commit / arbitrate / pop /
+* **compiled segment loop** — the eval / commit / arbitrate / pop /
   admit cycle runs as a single compiled loop over the same int64
   tables, returning to Python only at refresh boundaries, so the
   Python :class:`~repro.dram.refresh.RefreshScheduler` stays the one
-  source of refresh truth.  Without a toolchain the pure-Python port
-  of the same loop runs instead; both paths are differential-tested.
+  source of refresh truth.
 
 Eager row management is byte-for-byte the general engine's: misses and
 empties park in the same deferred-activation structure with fixed
@@ -51,10 +55,12 @@ command lists all match the general engine exactly — proven by the
 differential batteries in ``tests/dram/test_kernel_differential.py``
 across random scenarios and the full Table I grid.
 
-**Mixed sources** (per-request directions, turnaround rules) run
-through the shared general engine: :meth:`KernelEngine.run` delegates,
-so results are identical by construction and the kernel selection flag
-is safe for every workload shape.
+Some inputs have no kernel fast path, and :meth:`KernelEngine.run`
+hands them to the wrapped general engine: **mixed sources**
+(per-request directions, turnaround rules) and the auto-close
+disciplines **closed-page** and **FR-FCFS-cap**, whose auto-precharge
+invalidates the kernel's row-hit precompute.  Results are identical by
+construction.
 
 One intake difference is deliberate: the general engine validates bank
 indices lazily, batch by batch, so an invalid request deep in a stream
@@ -65,9 +71,7 @@ raises before mutating any state.
 
 from __future__ import annotations
 
-import heapq
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple, Union
 
 import numpy as np
 
@@ -90,16 +94,27 @@ if TYPE_CHECKING:
     from repro.dram.controller import ControllerConfig
 
 _FAR_PAST = -(10**15)
-_FAR_FUTURE = 10**18
 
-#: Heap-entry sort key for committing deferred activations in bank order.
-_ENTRY_BANK = itemgetter(1)
+#: Rows of the fixed-size command-record tape.  The tape is decoded into
+#: ``ScheduledCommand`` objects and reset whenever it fills, so its
+#: memory does not grow with the phase length.
+_TAPE_ROWS = 4096
 
-#: Disciplines the kernel does not implement natively: the auto-close
-#: mechanism invalidates the kernel's precomputed row-hit table, so
-#: these delegate to the general engine with
-#: :attr:`~repro.dram.stats.PhaseStats.kernel_fallback` set.
-_FALLBACK_DISCIPLINES = frozenset({POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP})
+
+def make_scheduler(
+        config: DramConfig,
+        policy: "ControllerConfig") -> "Union[KernelEngine, SchedulingEngine]":
+    """The scheduler for one DRAM configuration and controller policy.
+
+    Returns a :class:`KernelEngine` when the native segment loop loads
+    (built on the first call, then cached for the process) and a
+    :class:`~repro.dram.engine.SchedulingEngine` otherwise.  Both have
+    the same ``run`` / ``bank_snapshot`` surface and produce
+    bit-identical results.
+    """
+    if _kernelc.available():
+        return KernelEngine(config, policy)
+    return SchedulingEngine(config, policy)
 
 
 class KernelEngine:
@@ -109,32 +124,29 @@ class KernelEngine:
     :class:`~repro.dram.engine.SchedulingEngine` (``run`` /
     ``bank_snapshot`` and warm per-bank state across runs) and wraps a
     general engine internally: the per-bank timestamp table and the
-    refresh scheduler are shared **by reference**, so a controller can
-    route one phase through the kernel and the next through the general
-    engine and see exactly the warm rows either would have left behind.
+    refresh scheduler are shared **by reference**, so a phase the
+    kernel hands to the general engine (see :meth:`run`) and the next
+    native phase see exactly the warm rows either would have left
+    behind.  Build one through :func:`make_scheduler`; constructing it
+    directly raises :class:`RuntimeError` when the native object does
+    not load.
 
     Args:
         config: DRAM configuration (geometry + timing + refresh mode).
         policy: controller policy
             (:class:`~repro.dram.controller.ControllerConfig`).
-        general: an existing general engine to share state with; a
-            fresh one is created when omitted.
     """
 
-    def __init__(self, config: DramConfig, policy: "ControllerConfig",
-                 general: Optional[SchedulingEngine] = None,
-                 native: Optional[bool] = None) -> None:
+    def __init__(self, config: DramConfig, policy: "ControllerConfig") -> None:
+        if not _kernelc.available():
+            raise RuntimeError(
+                "native kernel backend unavailable (no C toolchain or a "
+                "failed build); use make_scheduler() to fall back")
         self.config = config
         self.policy = policy
-        if native is None:
-            native = _kernelc.available() and config.geometry.banks <= 64
-        elif native and not _kernelc.available():
-            raise RuntimeError(
-                "native kernel backend requested but unavailable "
-                "(no C toolchain, or REPRO_KERNEL_NATIVE=0)")
-        self._native = native
-        self._general = general or SchedulingEngine(config, policy)
-        # Shared by reference: both engines mutate the same table.
+        self._general = SchedulingEngine(config, policy)
+        # Warm per-bank state lives in the general engine's table; the
+        # native loop copies it in and writes it back.
         self._open_row = self._general._open_row
         self._act_time = self._general._act_time
         self._cas_allowed = self._general._cas_allowed
@@ -170,9 +182,9 @@ class KernelEngine:
                     f"request chunk columns disagree in length: "
                     f"{m} banks, {len(rows_col)} rows, {len(cols_col)} columns"
                 )
-            banks_parts.append(np.asarray(banks_col, dtype=np.int64))
-            rows_parts.append(np.asarray(rows_col, dtype=np.int64))
-            cols_parts.append(np.asarray(cols_col, dtype=np.int64))
+            banks_parts.append(np.ascontiguousarray(banks_col, dtype=np.int64))
+            rows_parts.append(np.ascontiguousarray(rows_col, dtype=np.int64))
+            cols_parts.append(np.ascontiguousarray(cols_col, dtype=np.int64))
         if not banks_parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty
@@ -185,458 +197,23 @@ class KernelEngine:
         """Schedule one workload source to completion.
 
         Same contract as
-        :meth:`repro.dram.engine.SchedulingEngine.run`; mixed sources are
-        delegated to the shared general engine (the turnaround rule set
-        has no fast path), homogeneous sources take the kernel loop.
-
-        Policy dispatch (see :mod:`repro.dram.policy`): open-page runs
-        the kernel loop unchanged; bank partitioning is an intake remap
-        (the kernel's row-hit precompute stays valid on the remapped
-        stream) and also runs natively; closed-page and FR-FCFS-cap
-        delegate to the general engine — bit-identical results, with
-        the fallback visible as ``stats.kernel_fallback``.
+        :meth:`repro.dram.engine.SchedulingEngine.run`.  Homogeneous
+        open-page and bank-partition phases take the native loop (bank
+        partitioning is an intake remap, so the kernel's row-hit
+        precompute stays valid on the remapped stream).  Mixed sources
+        (turnaround rules) and the auto-close disciplines closed-page
+        and FR-FCFS-cap run on the wrapped general engine, with
+        bit-identical results.
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
-        if source.mixed:
-            return self._general.run(source, op)
         discipline = self.policy.discipline
-        if discipline in _FALLBACK_DISCIPLINES:
-            result = self._general.run(source, op)
-            result.stats.kernel_fallback = True
-            return result
+        if source.mixed or discipline in (POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP):
+            return self._general.run(source, op)
         if discipline == POLICY_BANK_PARTITION:
             partition_banks(self._banks)  # even bank count required
             source = _PartitionedSource(source, self._banks, op == OP_READ)
-        if self._native:
-            return self._run_native(source, op)
-        return self._run_python(source, op)
-
-    def _run_python(self, source: WorkloadSource, op: str) -> EngineResult:
-        """The kernel scheduling loop (homogeneous phases).
-
-        A statement-for-statement port of the general engine's loop with
-        the intake incrementalism and the sorted ready list removed; see
-        the module docstring for the argument that every decision is
-        identical.
-        """
-        config = self.config
-        policy = self.policy
-        timing = config.timing
-        burst = config.burst_duration_ps
-        tck = timing.tck if burst % timing.tck == 0 else 1
-        quant = tck > 1
-        trp = timing.trp
-        trcd = timing.trcd
-        tras = timing.tras
-        trrd_s = timing.trrd_s
-        trrd_l = timing.trrd_l
-        tfaw = timing.tfaw
-        tccd_s = timing.tccd_s
-        tccd_l = timing.tccd_l
-        twr = timing.twr
-        trtp = timing.trtp
-        is_read = op == OP_READ
-        latency = timing.cl if is_read else timing.cwl
-        n_banks = self._banks
-        bank_groups = self._bank_groups
-
-        open_row = self._open_row
-        act_time = self._act_time
-        cas_allowed = self._cas_allowed
-        pre_allowed = self._pre_allowed
-        act_allowed = self._act_allowed
-
-        queue_depth = policy.queue_depth
-        per_bank_depth = policy.per_bank_depth
-        record = policy.record_commands
-        commands: List[ScheduledCommand] = []
-        refresh = self._refresh
-        all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
-
-        # ---- columnar intake: materialize, validate, partition ---------
-        banks_arr, rows_arr, cols_arr = self._materialize(source)
-        n = len(banks_arr)
-        if n:
-            bad = (banks_arr < 0) | (banks_arr >= n_banks)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"request #{k} (bank={int(banks_arr[k])}, "
-                    f"row={int(rows_arr[k])}, column={int(cols_arr[k])}): "
-                    f"bank out of range [0, {n_banks})"
-                )
-        banks_l: List[int] = banks_arr.tolist()
-        rows_l: List[int] = rows_arr.tolist()
-        cols_l: List[int] = cols_arr.tolist()
-        # Per-bank queues: each bank's ascending stream positions; the
-        # FIFO is the window between head[b] and adm[b] cursors.
-        seqs_q: List[List[int]] = [[] for _ in range(n_banks)]
-        if n:
-            order = np.argsort(banks_arr, kind="stable")
-            counts = np.bincount(banks_arr, minlength=n_banks)
-            starts = np.empty(n_banks, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(counts[:-1], out=starts[1:])
-            for b in np.flatnonzero(counts).tolist():
-                s = int(starts[b])
-                seqs_q[b] = order[s:s + int(counts[b])].tolist()
-            # Page-hit classification: request row equals the previous
-            # same-bank row (exactly what the pop path compares, since
-            # a CAS issues only on its own open row).
-            banks_sorted = banks_arr[order]
-            rows_sorted = rows_arr[order]
-            hit_sorted = np.zeros(n, dtype=bool)
-            np.logical_and(banks_sorted[1:] == banks_sorted[:-1],
-                           rows_sorted[1:] == rows_sorted[:-1],
-                           out=hit_sorted[1:])
-            hit_arr = np.empty(n, dtype=bool)
-            hit_arr[order] = hit_sorted
-            is_hit: List[bool] = hit_arr.tolist()
-        else:
-            is_hit = []
-
-        head = [0] * n_banks
-        adm = [0] * n_banks
-        pos = 0                 # next stream position to admit
-        queued = 0
-
-        # Bank states: 0 = no admitted requests, 1 = pending (head needs
-        # a row cycle), 2 = ready (head's row is open).  `ready_count`
-        # replaces the general engine's sorted ready list; the oldest
-        # ready head is found by the min-unpopped shortcut (or an
-        # O(banks) scan when the minimum unpopped request is not ready).
-        bstate = [0] * n_banks
-        ready_count = 0
-        # Minimum unpopped stream position, maintained with a bitmap in
-        # amortized O(1) per pop (`popped[n]` is a stop sentinel).  When
-        # that position's bank head is ready it *is* the oldest ready
-        # head, found with two array reads and no sorted structure.
-        popped = bytearray(n + 1)
-        nxt = 0
-
-        bg_of = [b % bank_groups for b in range(n_banks)]
-        last_cas = _FAR_PAST
-        last_cas_bg = [_FAR_PAST] * bank_groups
-        last_act = _FAR_PAST
-        last_act_bg = -1
-        faw_ring = [_FAR_PAST] * 4
-        faw_idx = 0
-        bus_free = 0
-        last_data_end = 0
-
-        fresh: List[int] = []
-        defer_heap: List[Tuple[int, int, int, bool, int]] = []
-        rescan_all = False
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        stats = PhaseStats()
-        n_requests = 0
-        hits = misses = empties = acts = pres = refs = 0
-
-        def intake() -> None:
-            """Admit requests until the window is full or a bank blocks."""
-            nonlocal pos, queued
-            while queued < queue_depth and pos < n:
-                b = banks_l[pos]
-                if adm[b] - head[b] >= per_bank_depth:
-                    return
-                if adm[b] == head[b]:
-                    bstate[b] = 1
-                    fresh.append(b)
-                adm[b] += 1
-                pos += 1
-                queued += 1
-
-        intake()
-        deadline = refresh.next_deadline_ps
-        commit_buf: List[Tuple[int, int, int, bool, int]] = []
-
-        while queued:
-            # ---- refresh (port of the general engine) ------------------
-            while deadline is not None and last_cas >= deadline:
-                event = refresh.due(last_cas)
-                if event is None:
-                    break
-                ref_time = event.deadline_ps
-                for b in event.banks:
-                    if open_row[b] is not None:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        if record:
-                            commands.append(
-                                ScheduledCommand(t_pre, CommandType.PRE, bank=b))
-                        pres += 1
-                        open_row[b] = None
-                        bank_free_at = t_pre + trp
-                    else:
-                        bank_free_at = act_allowed[b]
-                    if bank_free_at > ref_time:
-                        ref_time = bank_free_at
-                if quant:
-                    remainder = ref_time % tck
-                    if remainder:
-                        ref_time += tck - remainder
-                for b in event.banks:
-                    open_row[b] = None
-                    if bstate[b] == 2:
-                        bstate[b] = 1
-                        ready_count -= 1
-                    act_allowed[b] = ref_time + event.duration_ps
-                rescan_all = True
-                refs += 1
-                if record:
-                    kind = (CommandType.REF_ALL if all_bank_refresh
-                            else CommandType.REF_BANK)
-                    commands.append(
-                        ScheduledCommand(
-                            ref_time, kind,
-                            bank=-1 if all_bank_refresh else event.banks[0]))
-                deadline = refresh.next_deadline_ps
-
-            # ---- eager per-bank row management (port) ------------------
-            if rescan_all:
-                rescan_all = False
-                del fresh[:]
-                del defer_heap[:]
-                for b in range(n_banks):
-                    if bstate[b] != 1:
-                        continue
-                    row = rows_l[seqs_q[b][head[b]]]
-                    current = open_row[b]
-                    if current == row:
-                        bstate[b] = 2
-                        ready_count += 1
-                        hits += 1
-                    elif current is None:
-                        defer_heap.append((act_allowed[b], b, -1, True, row))
-                    else:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        defer_heap.append((t_pre + trp, b, t_pre, False, row))
-                heapq.heapify(defer_heap)
-            elif fresh:
-                for b in sorted(fresh) if len(fresh) > 1 else fresh:
-                    row = rows_l[seqs_q[b][head[b]]]
-                    current = open_row[b]
-                    if current == row:
-                        bstate[b] = 2
-                        ready_count += 1
-                        hits += 1
-                    elif current is None:
-                        heappush(defer_heap, (act_allowed[b], b, -1, True, row))
-                    else:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        heappush(defer_heap, (t_pre + trp, b, t_pre, False, row))
-                del fresh[:]
-
-            # ---- deferred-activation commits (port) --------------------
-            if defer_heap:
-                committable = None
-                if defer_heap[0][0] <= bus_free:
-                    entry = heappop(defer_heap)
-                    if defer_heap and defer_heap[0][0] <= bus_free:
-                        del commit_buf[:]
-                        commit_buf.append(entry)
-                        commit_buf.append(heappop(defer_heap))
-                        while defer_heap and defer_heap[0][0] <= bus_free:
-                            commit_buf.append(heappop(defer_heap))
-                        commit_buf.sort(key=_ENTRY_BANK)
-                        committable = commit_buf
-                    else:
-                        committable = (entry,)
-                elif not ready_count:
-                    committable = (heappop(defer_heap),)
-                if committable:
-                    for act_ready, b, t_pre, is_empty, row in committable:
-                        if is_empty:
-                            empties += 1
-                        else:
-                            misses += 1
-                            pres += 1
-                            if record:
-                                commands.append(
-                                    ScheduledCommand(t_pre, CommandType.PRE,
-                                                     bank=b))
-                        bg = bg_of[b]
-                        t_act = act_ready
-                        if last_act != _FAR_PAST:
-                            spacing = trrd_l if bg == last_act_bg else trrd_s
-                            t = last_act + spacing
-                            if t > t_act:
-                                t_act = t
-                        t = faw_ring[faw_idx] + tfaw
-                        if t > t_act:
-                            t_act = t
-                        if quant:
-                            remainder = t_act % tck
-                            if remainder:
-                                t_act += tck - remainder
-                        faw_ring[faw_idx] = t_act
-                        faw_idx = (faw_idx + 1) & 3
-                        last_act = t_act
-                        last_act_bg = bg
-                        acts += 1
-                        if record:
-                            commands.append(
-                                ScheduledCommand(t_act, CommandType.ACT,
-                                                 bank=b, row=row))
-                        open_row[b] = row
-                        act_time[b] = t_act
-                        cas_allowed[b] = t_act + trcd
-                        pre_allowed[b] = t_act + tras
-                        bstate[b] = 2
-                        ready_count += 1
-
-            # ---- CAS arbitration: min-unpopped shortcut ----------------
-            bound = last_cas + tccd_s
-            t = bus_free - latency
-            if t > bound:
-                bound = t
-            if quant:
-                remainder = bound % tck
-                if remainder:
-                    bound += tck - remainder
-            # Fast case: the minimum unpopped request is a ready head and
-            # achieves the bound — then it is the oldest ready head and
-            # the general engine's oldest-first walk would stop on it
-            # immediately, so it wins at the bound.
-            chosen = -1
-            b = banks_l[nxt]
-            if bstate[b] == 2 and seqs_q[b][head[b]] == nxt:
-                pb = cas_allowed[b]
-                t = last_cas_bg[bg_of[b]] + tccd_l
-                if t > pb:
-                    pb = t
-                if pb <= bound:
-                    chosen = b
-                    t_cas = bound
-            if chosen < 0:
-                # Exact fallback: one unsorted pass over the ready banks
-                # computes the walk's outcome — the oldest head that
-                # achieves the bound, else the earliest-slot head with
-                # ties to the oldest (min-reductions over the per-bank
-                # timestamp table).
-                best_seq = _FAR_FUTURE
-                best_pb = _FAR_FUTURE
-                best_pb_seq = _FAR_FUTURE
-                best_pb_bank = -1
-                for b in range(n_banks):
-                    if bstate[b] != 2:
-                        continue
-                    sq = seqs_q[b][head[b]]
-                    pb = cas_allowed[b]
-                    t = last_cas_bg[bg_of[b]] + tccd_l
-                    if t > pb:
-                        pb = t
-                    if pb <= bound:
-                        if sq < best_seq:
-                            best_seq = sq
-                            chosen = b
-                    elif pb < best_pb or (pb == best_pb and sq < best_pb_seq):
-                        best_pb = pb
-                        best_pb_seq = sq
-                        best_pb_bank = b
-                if chosen >= 0:
-                    t_cas = bound
-                elif best_pb_bank >= 0:
-                    chosen = best_pb_bank
-                    t_cas = best_pb
-                    if quant:
-                        remainder = t_cas % tck
-                        if remainder:
-                            t_cas += tck - remainder
-                else:
-                    raise RuntimeError(
-                        "scheduler deadlock: no prepared bank head")
-
-            # ---- pop, timeline update, intake (port) -------------------
-            hlist = seqs_q[chosen]
-            h = head[chosen]
-            p_seq = hlist[h]
-            h += 1
-            head[chosen] = h
-            queued -= 1
-            if adm[chosen] == h:
-                bstate[chosen] = 0
-                ready_count -= 1
-            elif is_hit[hlist[h]]:
-                hits += 1
-            else:
-                bstate[chosen] = 1
-                ready_count -= 1
-                fresh.append(chosen)
-            popped[p_seq] = 1
-            if p_seq == nxt:
-                nxt += 1
-                while popped[nxt]:
-                    nxt += 1
-
-            last_cas = t_cas
-            last_cas_bg[bg_of[chosen]] = t_cas
-            data_end = t_cas + latency + burst
-            bus_free = data_end
-            last_data_end = data_end
-            if is_read:
-                t = t_cas + trtp
-            else:
-                t = data_end + twr
-            if t > pre_allowed[chosen]:
-                pre_allowed[chosen] = t
-            if record:
-                commands.append(
-                    ScheduledCommand(
-                        t_cas, CommandType.RD if is_read else CommandType.WR,
-                        bank=chosen, row=rows_l[p_seq], column=cols_l[p_seq],
-                        request_id=n_requests))
-            n_requests += 1
-            # Inline single-slot admission (port of the general engine).
-            if pos < n and queued == queue_depth - 1:
-                b = banks_l[pos]
-                if adm[b] - head[b] < per_bank_depth:
-                    if adm[b] == head[b]:
-                        bstate[b] = 1
-                        fresh.append(b)
-                    adm[b] += 1
-                    pos += 1
-                    queued += 1
-            else:
-                intake()
-
-        stats.requests = n_requests
-        stats.page_hits = hits
-        stats.page_misses = misses
-        stats.page_empties = empties
-        stats.activates = acts
-        stats.precharges = pres
-        stats.refreshes = refs
-        stats.data_time_ps = n_requests * burst
-        stats.makespan_ps = last_data_end
-        reads = n_requests if is_read else 0
-        writes = 0 if is_read else n_requests
-        ref_key = (CommandType.REF_ALL if all_bank_refresh
-                   else CommandType.REF_BANK).value
-        stats.command_counts = {
-            CommandType.ACT.value: acts,
-            CommandType.PRE.value: pres,
-            (CommandType.RD if is_read else CommandType.WR).value: n_requests,
-            ref_key: refs,
-        }
-        stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
-                                         ref=refs, makespan_ps=last_data_end)
-        return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=0)
+        return self._run_native(source, op)
 
     def _run_native(self, source: WorkloadSource, op: str) -> EngineResult:
         """Homogeneous run through the compiled segment loop.
@@ -646,12 +223,11 @@ class KernelEngine:
         refresh boundaries; this wrapper applies refresh events (the
         exact general-engine block, on the same arrays) and re-enters.
         State is copied from the shared per-bank lists on entry and
-        written back on exit, so warm-state swapping with the general
-        engine behaves identically to the pure-Python loop.
+        written back on exit, so a later phase on either engine sees
+        the same warm bank state.
         """
-        loaded = _kernelc.load()
-        assert loaded is not None  # guarded by self._native
-        ffi, lib = loaded
+        run_segment = _kernelc.load()
+        assert run_segment is not None  # checked in __init__
         config = self.config
         policy = self.policy
         timing = config.timing
@@ -697,7 +273,10 @@ class KernelEngine:
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
-        rec_cap = (3 * n + 4096) if record else 1
+        commit = np.zeros(n_banks + 2, dtype=np.int64)
+        # Headroom: one segment iteration records at most 2 * n_banks + 1
+        # commands, one refresh event at most n_banks + 1.
+        rec_cap = (_TAPE_ROWS + 2 * n_banks + 2) if record else 1
         rec = np.zeros(rec_cap * 6, dtype=np.int64)
 
         sc = np.zeros(_kernelc.N_SCALARS, dtype=np.int64)
@@ -749,15 +328,32 @@ class KernelEngine:
         sc[_kernelc.S_QUEUED] = queued
         sc[_kernelc.S_FRESH_COUNT] = fresh_count
 
-        def ptr(a: "np.ndarray[Any, Any]") -> Any:
-            return ffi.cast("int64_t *", ffi.from_buffer(a))
+        # Every argument is a C-contiguous int64 array that stays alive
+        # for the whole run.
+        args = [a.ctypes.data for a in (
+            cfg, sc, banks_arr, rows_arr, cols_arr, qseqs, qstart, head,
+            adm, bstate, open_arr, act_time, cas_allowed, pre_allowed,
+            act_allowed, bg_of, last_cas_bg, faw_ring, fresh, heap,
+            commit, rec)]
 
-        args = [ptr(cfg), ptr(sc), ptr(banks_arr), ptr(rows_arr),
-                ptr(cols_arr), ptr(qseqs), ptr(qstart), ptr(head),
-                ptr(adm), ptr(bstate), ptr(open_arr), ptr(act_time),
-                ptr(cas_allowed), ptr(pre_allowed), ptr(act_allowed),
-                ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
-                ptr(heap), ptr(rec)]
+        commands: List[ScheduledCommand] = []
+        cas_kind = CommandType.RD if is_read else CommandType.WR
+        ref_kind = (CommandType.REF_ALL if all_bank_refresh
+                    else CommandType.REF_BANK)
+        kind_by_code = {_kernelc.REC_ACT: CommandType.ACT,
+                        _kernelc.REC_PRE: CommandType.PRE,
+                        _kernelc.REC_CAS: cas_kind,
+                        _kernelc.REC_REF: ref_kind}
+
+        def drain_tape(rec_count: int) -> int:
+            """Decode the first ``rec_count`` tape rows; the new count."""
+            flat = rec[:rec_count * 6].tolist()
+            for i in range(0, len(flat), 6):
+                commands.append(ScheduledCommand(
+                    flat[i], kind_by_code[flat[i + 1]], bank=flat[i + 2],
+                    row=flat[i + 3], column=flat[i + 4],
+                    request_id=flat[i + 5]))
+            return 0
 
         refs_total = 0
         deadline = refresh.next_deadline_ps
@@ -766,22 +362,18 @@ class KernelEngine:
         while queued:
             sc[_kernelc.S_HAVE_DEADLINE] = 0 if deadline is None else 1
             sc[_kernelc.S_DEADLINE] = 0 if deadline is None else deadline
-            reason = lib.run_segment(*args)
+            reason = run_segment(*args)
             if reason == _kernelc.EXIT_DONE:
                 break
             if reason == _kernelc.EXIT_DEADLOCK:
                 raise RuntimeError("scheduler deadlock: no prepared bank head")
             if reason == _kernelc.EXIT_RECORD_FULL:
-                grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
-                grown[:rec_cap * 6] = rec
-                rec = grown
-                rec_cap += n
-                cfg[_kernelc.C_REC_CAP] = rec_cap
-                args[-1] = ptr(rec)
+                sc[_kernelc.S_REC_COUNT] = drain_tape(
+                    int(sc[_kernelc.S_REC_COUNT]))
                 continue
             # ---- refresh boundary: the general engine's block, on the
             # shared arrays (the scheduler object advances its own
-            # deadline state, exactly as in the Python loops) ----------
+            # deadline state, exactly as in the general engine) -------
             last_cas = int(sc[_kernelc.S_LAST_CAS])
             rec_count = int(sc[_kernelc.S_REC_COUNT])
             pres = int(sc[_kernelc.S_PRES])
@@ -790,12 +382,7 @@ class KernelEngine:
                 if event is None:
                     break
                 if record and rec_cap - rec_count < n_banks + 2:
-                    grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
-                    grown[:rec_cap * 6] = rec
-                    rec = grown
-                    rec_cap += n
-                    cfg[_kernelc.C_REC_CAP] = rec_cap
-                    args[-1] = ptr(rec)
+                    rec_count = drain_tape(rec_count)
                 ref_time = event.deadline_ps
                 for b in event.banks:
                     if open_arr[b] >= 0:
@@ -861,22 +448,8 @@ class KernelEngine:
         self._pre_allowed[:] = pre_allowed.tolist()
         self._act_allowed[:] = act_allowed.tolist()
 
-        commands: List[ScheduledCommand] = []
         if record:
-            cas_kind = CommandType.RD if is_read else CommandType.WR
-            ref_kind = (CommandType.REF_ALL if all_bank_refresh
-                        else CommandType.REF_BANK)
-            kind_by_code = {_kernelc.REC_ACT: CommandType.ACT,
-                            _kernelc.REC_PRE: CommandType.PRE,
-                            _kernelc.REC_CAS: cas_kind,
-                            _kernelc.REC_REF: ref_kind}
-            rec_count = int(sc[_kernelc.S_REC_COUNT])
-            flat = rec[:rec_count * 6].tolist()
-            for i in range(0, rec_count * 6, 6):
-                commands.append(ScheduledCommand(
-                    flat[i], kind_by_code[flat[i + 1]], bank=flat[i + 2],
-                    row=flat[i + 3], column=flat[i + 4],
-                    request_id=flat[i + 5]))
+            drain_tape(int(sc[_kernelc.S_REC_COUNT]))
 
         stats = PhaseStats()
         stats.requests = n_requests

@@ -39,19 +39,18 @@ branch in the arbiter's hot loop changes its outcome.  Bank
 partitioning wraps the workload source before intake and leaves the
 scheduler untouched.  The differential battery in
 ``tests/dram/test_policy_differential.py`` proves the default
-discipline bit-identical to the pre-policy engine, the PR 8 kernel and
-the frozen seed oracles, and each new discipline equal to a scalar
+discipline bit-identical to the pre-policy engine, the native kernel
+and the frozen seed oracles, and each new discipline equal to a scalar
 reference; ``tests/dram/test_policy_properties.py`` replay-checks every
 discipline's schedules against the independent
 :class:`~repro.dram.trace.TraceChecker` with zero violations.
 
-Kernel-fallback rules: the batch-advance kernel
-(:mod:`repro.dram.kernel`) implements open-page and bank partitioning
-natively (partitioning is an intake remap, invisible to its arbiter);
+Which scheduler runs what: the native batch-advance kernel
+(:mod:`repro.dram.kernel`) runs open-page and bank partitioning in its
+own loop (partitioning is an intake remap, invisible to its arbiter);
 closed-page and FR-FCFS-cap invalidate the kernel's precomputed
-row-hit table, so kernel runs of those disciplines delegate to the
-general engine — visibly, via the ``kernel_fallback`` flag on
-:class:`~repro.dram.stats.PhaseStats`.
+row-hit table, so the kernel hands those phases to the general engine
+it wraps.  The schedules are identical either way.
 """
 
 from __future__ import annotations

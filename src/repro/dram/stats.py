@@ -77,12 +77,6 @@ class PhaseStats:
         energy_tally: energy-model command tallies (engine-filled;
             excluded from equality so engine stats still compare equal
             to oracles that never tallied energy).
-        kernel_fallback: ``True`` when a kernel-engine run delegated to
-            the general engine because the selected scheduling
-            discipline is not kernel-implemented (see
-            :mod:`repro.dram.policy`).  An execution annotation, not a
-            scheduling outcome: excluded from equality (results are
-            bit-identical either way) and from store payloads.
     """
 
     requests: int = 0
@@ -97,7 +91,6 @@ class PhaseStats:
     command_counts: Dict[str, int] = field(default_factory=dict)
     energy_tally: Optional[EnergyTally] = field(default=None, compare=False,
                                                 repr=False)
-    kernel_fallback: bool = field(default=False, compare=False, repr=False)
 
     @property
     def utilization(self) -> float:

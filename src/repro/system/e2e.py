@@ -55,7 +55,8 @@ from repro.dram.energy import (
     combine_interleaver_reports,
     energy_from_tally,
 )
-from repro.dram.engine import Batch, SchedulingEngine, TupleSource, WorkloadSource
+from repro.dram.engine import Batch, TupleSource, WorkloadSource
+from repro.dram.kernel import make_scheduler
 from repro.dram.presets import DramConfig, get_config
 from repro.dram.stats import PhaseStats
 from repro.interleaver.two_stage import TwoStageConfig
@@ -356,15 +357,17 @@ def _run_dram_phase(config: DramConfig, policy: ControllerConfig,
                     op: str) -> Tuple[PhaseStats, Tuple[int, ...]]:
     """Schedule one co-simulation phase and extract per-frame latencies.
 
-    A fresh engine per phase (the paper's cold-start semantics, like
+    A fresh scheduler per phase from
+    :func:`~repro.dram.kernel.make_scheduler` (the paper's cold-start
+    semantics, like
     :func:`repro.dram.simulator.simulate_interleaver`); commands are
     always recorded internally because the latency extraction needs the
     issue times, which leaves the returned :class:`PhaseStats`
     untouched (recording is proven stats-invariant in
     ``tests/dram/test_energy_properties.py``).
     """
-    engine = SchedulingEngine(config, replace(policy, record_commands=True))
-    result = engine.run(source, op=op)
+    scheduler = make_scheduler(config, replace(policy, record_commands=True))
+    result = scheduler.run(source, op=op)
     expected = frames * elements_per_frame
     if result.stats.requests != expected:
         raise RuntimeError(

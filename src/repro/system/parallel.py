@@ -12,19 +12,9 @@ Work items are declarative (:class:`PhaseTask` names a preset config
 and a registry mapping key rather than holding live objects), so they
 pickle cheaply and each worker rebuilds its own space/mapping — no
 shared state, deterministic results, identical to the serial path.
-
-Two orthogonal knobs ride on every task:
-
-* ``engine`` selects the scheduling arbiter
-  (:data:`~repro.dram.controller.ENGINE_GENERAL` or the bit-identical
-  batch-advance :data:`~repro.dram.controller.ENGINE_KERNEL`); it is
-  an execution detail and deliberately **not** part of the store key —
-  a kernel run and a general run of the same cell share one cache
-  entry (pinned in ``tests/store``).
-* :func:`share_phase_chunks` swaps a task's rebuild-in-worker address
-  generation for a pre-materialized zero-copy
-  :class:`~repro.system.shm.SharedChunks` payload, bit-identical for
-  any ``jobs`` value.
+Each worker schedules through the scheduler
+:func:`~repro.dram.kernel.make_scheduler` picks; the choice never
+reaches a task, a result or a store key.
 """
 
 from __future__ import annotations
@@ -32,17 +22,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.dram.controller import (
-    ENGINE_GENERAL,
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-    _check_engine,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.mixed import MixedResult
 from repro.dram.presets import DramConfig, get_config
 from repro.dram.simulator import (
@@ -54,7 +37,6 @@ from repro.dram.simulator import (
 from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.system.e2e import E2ECell, E2EResult, run_e2e
-from repro.system.shm import SharedChunks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> parallel,
     # and campaign -> parallel, which rules out importing adaptive —
@@ -88,13 +70,6 @@ class PhaseTask:
         policy: optional controller policy overrides (picklable).
         use_arrays: forwarded to :func:`~repro.dram.simulator.simulate_phase`
             (``None`` = auto-select the vectorized path).
-        engine: scheduling-engine hook
-            (:data:`~repro.dram.controller.ENGINE_GENERAL` /
-            :data:`~repro.dram.controller.ENGINE_KERNEL`); results are
-            bit-identical either way, so the store key excludes it.
-        chunks: optional pre-materialized address payload (see
-            :func:`share_phase_chunks`); excluded from equality — the
-            declarative fields alone identify the cell.
     """
 
     config_name: str
@@ -103,15 +78,12 @@ class PhaseTask:
     n: int
     policy: Optional[ControllerConfig] = None
     use_arrays: Optional[bool] = None
-    engine: str = ENGINE_GENERAL
-    chunks: Optional[SharedChunks] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {self.op!r}")
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
-        _check_engine(self.engine)
 
 
 def _task_mapping(task_mapping: str, config_name: str,
@@ -137,54 +109,19 @@ def _task_mapping(task_mapping: str, config_name: str,
     return config, factory(space, config.geometry)
 
 
-def share_phase_chunks(task: PhaseTask,
-                       prefer_shared: bool = True) -> PhaseTask:
-    """A copy of ``task`` carrying its address stream as a shared payload.
-
-    Materializes the task's own vectorized address chunks once (in the
-    submitting process) into a :class:`~repro.system.shm.SharedChunks`
-    segment, so worker processes schedule the exact same requests
-    without regenerating the mapping — and without pickling the
-    payload, when shared memory is available.  Deriving the payload
-    from the task itself is what keeps the chunk-bearing path
-    bit-identical to the declarative one by construction.
-
-    The caller owns the segment: call ``task.chunks.unlink()`` (or use
-    it as a context manager) after the sweep completes.
-
-    Args:
-        task: the declarative work item to annotate.
-        prefer_shared: forwarded to :class:`~repro.system.shm.SharedChunks`
-            (``False`` forces the inline pickle fallback).
-    """
-    config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    stream = (mapping.write_addresses_array() if task.op == OP_WRITE
-              else mapping.read_addresses_array())
-    return replace(task, chunks=SharedChunks(stream, prefer_shared=prefer_shared))
-
-
 def execute_phase_task(task: PhaseTask) -> PhaseStats:
     """Run one :class:`PhaseTask` to completion (also the worker entry).
 
-    A chunk-bearing task (see :func:`share_phase_chunks`) feeds its
-    shared payload straight into the controller; a declarative one
-    rebuilds the mapping and simulates through
-    :func:`~repro.dram.simulator.simulate_phase`.  Both paths are
-    bit-identical.
+    Rebuilds the mapping and simulates through
+    :func:`~repro.dram.simulator.simulate_phase`.
 
     Raises:
         KeyError: if ``task.config_name`` or ``task.mapping`` is not a
             known registry key.
     """
-    if task.chunks is not None:
-        config = get_config(task.config_name)
-        controller = MemoryController(config, task.policy, engine=task.engine)
-        stats = controller.run_phase(task.chunks.chunks(), task.op).stats
-        task.chunks.release()  # detach the worker-side view promptly
-        return stats
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
     return simulate_phase(config, mapping, task.op, task.policy,
-                          use_arrays=task.use_arrays, engine=task.engine)
+                          use_arrays=task.use_arrays)
 
 
 @dataclass(frozen=True)
@@ -204,20 +141,16 @@ class InterleaverTask:
         mapping: mapping registry key (e.g. ``"row-major"``).
         n: triangular interleaver dimension.
         policy: optional controller policy overrides (picklable).
-        engine: scheduling-engine hook (excluded from the store key;
-            results are bit-identical across engines).
     """
 
     config_name: str
     mapping: str
     n: int
     policy: Optional[ControllerConfig] = None
-    engine: str = ENGINE_GENERAL
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
-        _check_engine(self.engine)
 
 
 def execute_interleaver_task(task: InterleaverTask) -> InterleaverSimResult:
@@ -228,8 +161,7 @@ def execute_interleaver_task(task: InterleaverTask) -> InterleaverSimResult:
             known registry key.
     """
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    return simulate_interleaver(config, mapping, task.policy,
-                                engine=task.engine)
+    return simulate_interleaver(config, mapping, task.policy)
 
 
 @dataclass(frozen=True)
@@ -244,8 +176,6 @@ class MixedTask:
             stream switches direction (see
             :func:`repro.dram.mixed.interleaved_stream`).
         policy: optional controller policy overrides (picklable).
-        engine: scheduling-engine hook (excluded from the store key;
-            mixed streams always schedule through the general core).
     """
 
     config_name: str
@@ -253,14 +183,12 @@ class MixedTask:
     n: int
     group: int = 16
     policy: Optional[ControllerConfig] = None
-    engine: str = ENGINE_GENERAL
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
         if self.group < 1:
             raise ValueError(f"group must be >= 1, got {self.group}")
-        _check_engine(self.engine)
 
 
 def execute_mixed_task(task: MixedTask) -> MixedResult:
@@ -272,7 +200,7 @@ def execute_mixed_task(task: MixedTask) -> MixedResult:
     """
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
     return simulate_mixed_interleaver(config, mapping, group=task.group,
-                                      policy=task.policy, engine=task.engine)
+                                      policy=task.policy)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dram import _kernelc
 from repro.dram.geometry import Geometry
 from repro.dram.presets import (
     REFRESH_ALL_BANK,
@@ -89,3 +90,23 @@ def small_rect():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240401)
+
+
+@pytest.fixture
+def native_kernel():
+    """Skip unless the compiled scheduling kernel loads (CI asserts it)."""
+    if not _kernelc.available():
+        pytest.skip("native scheduling kernel unavailable")
+
+
+@pytest.fixture
+def general_only(monkeypatch):
+    """Make ``make_scheduler`` pick the general engine for one test."""
+    monkeypatch.setattr(_kernelc, "available", lambda: False)
+
+
+@pytest.fixture(params=["native_kernel", "general_only"])
+def scheduler_backend(request):
+    """Run a test once per scheduler ``make_scheduler`` can pick."""
+    request.getfixturevalue(request.param)
+    return request.param

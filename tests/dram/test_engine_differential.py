@@ -5,8 +5,9 @@ independent scheduler loops.  These batteries prove the replacement is
 **bit-identical**:
 
 * ~300 homogeneous scenarios — random (configuration, policy, stream
-  pattern, op, intake shape) combinations run through the engine-backed
-  ``MemoryController.run_phase`` and the frozen pre-engine scheduler
+  pattern, op, intake shape) combinations run through
+  ``MemoryController.run_phase`` once per scheduler backend (native
+  kernel and general engine) and the frozen pre-engine scheduler
   (:func:`repro.dram._reference.reference_run_phase`); stats *and* the
   full recorded command lists must match exactly.
 * ~100 mixed-stream scenarios — random read/write mixes through the
@@ -103,7 +104,7 @@ def _as_chunks(requests, chunk_size):
 
 
 @pytest.mark.parametrize("index", range(N_HOMOGENEOUS))
-def test_homogeneous_battery(index):
+def test_homogeneous_battery(index, scheduler_backend):
     rng = _scenario_rng(index)
     config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
     policy = _pick_policy(rng)
@@ -184,7 +185,7 @@ def test_reference_module_is_not_imported_by_production_code():
         assert "from repro.dram._reference import" not in source
 
 
-def test_multi_entry_deferred_commit_matches_reference():
+def test_multi_entry_deferred_commit_matches_reference(scheduler_backend):
     """Several deferred activations committed in one arbiter pass.
 
     Row-thrash across every bank with a deep queue parks many banks in

@@ -1,29 +1,35 @@
-"""Differential battery: batch-advance kernel vs the general engine.
+"""Differential battery: native batch-advance kernel vs the general engine.
 
 The event-wheel kernel (:mod:`repro.dram.kernel`) must be bit-identical
 to the general :class:`~repro.dram.engine.SchedulingEngine` — same
 :class:`~repro.dram.stats.PhaseStats`, same ``command_counts``, same
 :class:`~repro.dram.stats.EnergyTally`, same recorded command list —
-on every Table I (configuration, mapping) pair, in both phases, through
-both backends (compiled segment loop and pure-Python fallback), and its
-schedules must independently satisfy the JEDEC replay checker
-(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.
+on every Table I (configuration, mapping) pair, in both phases, and on
+geometries beyond the Table I devices; its schedules must independently
+satisfy the JEDEC replay checker (:mod:`repro.dram.trace`) for
+homogeneous and mixed traffic.  The selection itself
+(:func:`~repro.dram.kernel.make_scheduler`) is covered with the native
+object both present and forced absent, including a failed build.
 """
+
+import random
+import subprocess
+from dataclasses import replace
 
 import pytest
 
 from repro.dram import _kernelc
+from repro.dram import kernel as kernel_module
 from repro.dram.controller import (
-    ENGINE_GENERAL,
-    ENGINE_KERNEL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
-from repro.dram.engine import SchedulingEngine, as_workload
-from repro.dram.kernel import KernelEngine
-from repro.dram.mixed import run_mixed_phase, steady_state_interleaver
+from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
+from repro.dram.geometry import Geometry
+from repro.dram.kernel import KernelEngine, make_scheduler
+from repro.dram.mixed import interleaved_stream, RowShiftedMapping
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase_result
 from repro.dram.trace import check_phase_commands
@@ -49,26 +55,24 @@ TABLE1_PAIRS = [
 
 PAIR_IDS = [f"{c}-{m}" for c, m in TABLE1_PAIRS]
 
-#: Backends under test: the compiled segment loop only where a C
-#: toolchain produced one; the pure-Python port always.
-BACKENDS = [False] + ([True] if _kernelc.available() else [])
-
 
 def _mapping(config, mapping_name, n=N):
     space = TriangularIndexSpace(n)
     return MAPPING_FACTORIES[mapping_name](space, config.geometry)
 
 
-def _run_engines(config, mapping, op, native, policy=None):
+def _chunks(mapping, op):
+    return (mapping.write_addresses_array() if op == OP_WRITE
+            else mapping.read_addresses_array())
+
+
+def _run_engines(config, mapping, op, policy=None):
     """One phase through general engine and kernel; returns both results."""
     policy = policy or ControllerConfig()
-    chunks = (mapping.write_addresses_array() if op == OP_WRITE
-              else mapping.read_addresses_array())
-    general = SchedulingEngine(config, policy).run(as_workload(chunks), op=op)
-    chunks = (mapping.write_addresses_array() if op == OP_WRITE
-              else mapping.read_addresses_array())
-    kernel = KernelEngine(config, policy, native=native).run(
-        as_workload(chunks), op=op)
+    general = SchedulingEngine(config, policy).run(
+        as_workload(_chunks(mapping, op)), op=op)
+    kernel = KernelEngine(config, policy).run(
+        as_workload(_chunks(mapping, op)), op=op)
     return general, kernel
 
 
@@ -80,99 +84,139 @@ def _assert_identical(general, kernel):
     assert kernel.commands == general.commands
 
 
+@pytest.mark.usefixtures("native_kernel")
 class TestTable1Grid:
-    """Kernel == engine on the full production grid, both backends."""
+    """Kernel == engine on the full production grid."""
 
-    @pytest.mark.parametrize("native", BACKENDS,
-                             ids=lambda native: "native" if native else "python")
     @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
     @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
                              ids=PAIR_IDS)
-    def test_phase_bit_identical(self, config_name, mapping_name, op, native):
+    def test_phase_bit_identical(self, config_name, mapping_name, op):
         config = get_config(config_name)
         mapping = _mapping(config, mapping_name)
-        general, kernel = _run_engines(config, mapping, op, native,
-                                       RECORDING_POLICY)
+        general, kernel = _run_engines(config, mapping, op, RECORDING_POLICY)
         _assert_identical(general, kernel)
 
 
-class TestControllerHook:
-    """The ``engine=`` selection hook routes through the kernel."""
+def _wide_config(tiny_config, bank_groups, banks_per_group):
+    """``tiny_config``'s timing on a geometry with many more banks.
 
-    def test_run_phase_engine_keyword(self, ddr4):
+    The page holds one burst per bank, the least the optimized
+    mapping's balanced tiling accepts.
+    """
+    banks = bank_groups * banks_per_group
+    geometry = Geometry(bank_groups=bank_groups,
+                        banks_per_group=banks_per_group, rows=64,
+                        columns=8 * banks, bus_width_bits=64, burst_length=8)
+    return replace(tiny_config, name=f"WIDE-{geometry.banks}",
+                   geometry=geometry)
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestWideGeometry:
+    """The native loop has no bank-count limit (128 banks here)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    def test_random_stream_bit_identical(self, tiny_config, op, seed):
+        config = _wide_config(tiny_config, 8, 16)
+        assert config.geometry.banks == 128
+        rng = random.Random(0x128 * 100 + seed)
+        requests = [(rng.randrange(128), rng.randrange(8), rng.randrange(8))
+                    for _ in range(3000)]
+        policy = ControllerConfig(queue_depth=rng.choice([64, 256]),
+                                  per_bank_depth=rng.choice([2, 16]),
+                                  record_commands=True)
+        general = SchedulingEngine(config, policy).run(
+            as_workload(iter(requests)), op=op)
+        kernel = KernelEngine(config, policy).run(
+            as_workload(iter(requests)), op=op)
+        _assert_identical(general, kernel)
+        assert check_phase_commands(config, kernel.commands) == []
+
+    @pytest.mark.parametrize("mapping_name", sorted(MAPPING_FACTORIES))
+    def test_mapping_bit_identical(self, tiny_config, mapping_name):
+        config = _wide_config(tiny_config, 8, 16)
+        mapping = _mapping(config, mapping_name, n=64)
+        for op in (OP_WRITE, OP_READ):
+            general, kernel = _run_engines(config, mapping, op,
+                                           RECORDING_POLICY)
+            _assert_identical(general, kernel)
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestWarmState:
+    """Warm bank state carries across native and general phases.
+
+    The kernel shares the per-bank timestamp table with its wrapped
+    general engine, so rows left open by one must be visible — and
+    identically charged — by the other.
+    """
+
+    @pytest.mark.parametrize("native_first", (True, False),
+                             ids=("native-then-general",
+                                  "general-then-native"))
+    def test_alternation_matches_general(self, ddr4, native_first):
         mapping = _mapping(ddr4, "optimized")
-        stats = {}
-        for engine in (ENGINE_GENERAL, ENGINE_KERNEL):
-            controller = MemoryController(ddr4, ControllerConfig(),
-                                          engine=engine)
-            stats[engine] = controller.run_phase(
-                mapping.read_addresses_array(), OP_READ).stats
-        assert stats[ENGINE_KERNEL] == stats[ENGINE_GENERAL]
+        policy = ControllerConfig()
+        kernel = KernelEngine(ddr4, policy)
+        # The phases the kernel hands off run on its own wrapped engine.
+        general = kernel._general
+        first, second = (kernel, general) if native_first else (general, kernel)
+        alternated = (
+            first.run(as_workload(_chunks(mapping, OP_WRITE)), op=OP_WRITE).stats,
+            second.run(as_workload(_chunks(mapping, OP_READ)), op=OP_READ).stats,
+        )
+        plain = SchedulingEngine(ddr4, policy)
+        reference = (
+            plain.run(as_workload(_chunks(mapping, OP_WRITE)), op=OP_WRITE).stats,
+            plain.run(as_workload(_chunks(mapping, OP_READ)), op=OP_READ).stats,
+        )
+        assert alternated == reference
 
-    def test_rejects_unknown_engine(self, ddr4):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            MemoryController(ddr4, engine="warp-drive")
-
-    def test_per_call_override(self, ddr4):
-        """A general controller can route a single phase to the kernel."""
+    def test_controller_two_phases_match_general(self, ddr4):
         mapping = _mapping(ddr4, "row-major")
         controller = MemoryController(ddr4, ControllerConfig())
-        kernel_stats = controller.run_phase(mapping.write_addresses_array(),
-                                            OP_WRITE,
-                                            engine=ENGINE_KERNEL).stats
-        baseline = MemoryController(ddr4, ControllerConfig()).run_phase(
-            mapping.write_addresses_array(), OP_WRITE).stats
-        assert kernel_stats == baseline
-
-    def test_warm_state_alternation(self, ddr4):
-        """Kernel write then general read == all-general two-phase run.
-
-        The kernel shares the per-bank timestamp table with its general
-        engine by reference, so rows left open by one arbiter must be
-        visible — and identically charged — by the other.
-        """
-        mapping = _mapping(ddr4, "optimized")
-        mixed_controller = MemoryController(ddr4, ControllerConfig())
-        write_k = mixed_controller.run_phase(mapping.write_addresses_array(),
-                                             OP_WRITE,
-                                             engine=ENGINE_KERNEL).stats
-        read_g = mixed_controller.run_phase(mapping.read_addresses_array(),
-                                            OP_READ).stats
-
-        plain = MemoryController(ddr4, ControllerConfig())
-        write_ref = plain.run_phase(mapping.write_addresses_array(),
-                                    OP_WRITE).stats
-        read_ref = plain.run_phase(mapping.read_addresses_array(),
-                                   OP_READ).stats
-        assert (write_k, read_g) == (write_ref, read_ref)
+        native = tuple(controller.run_phase(_chunks(mapping, op), op).stats
+                       for op in (OP_WRITE, OP_READ))
+        plain = SchedulingEngine(ddr4, ControllerConfig())
+        reference = tuple(
+            plain.run(as_workload(_chunks(mapping, op)), op=op).stats
+            for op in (OP_WRITE, OP_READ))
+        assert native == reference
 
 
+def _mixed_requests(config, n=24, group=4):
+    mapping = _mapping(config, "optimized", n=n)
+    read_mapping = RowShiftedMapping(mapping, mapping.rows_used())
+    return list(interleaved_stream(mapping, read_mapping, group))
+
+
+@pytest.mark.usefixtures("native_kernel")
 class TestMixedTraffic:
-    """Mixed streams through the kernel flag delegate bit-identically."""
+    """Mixed streams handed to the kernel run on its general engine."""
 
     def test_mixed_phase_bit_identical(self, ddr4):
-        mapping = _mapping(ddr4, "optimized", n=24)
-        results = {
-            engine: steady_state_interleaver(ddr4, mapping, group=4,
-                                             policy=RECORDING_POLICY,
-                                             engine=engine)
-            for engine in (ENGINE_GENERAL, ENGINE_KERNEL)
-        }
-        general, kernel = results[ENGINE_GENERAL], results[ENGINE_KERNEL]
-        assert kernel.stats == general.stats
-        assert kernel.stats.energy_tally == general.stats.energy_tally
+        requests = _mixed_requests(ddr4)
+        general = SchedulingEngine(ddr4, RECORDING_POLICY).run(
+            MixedSource(requests))
+        kernel = KernelEngine(ddr4, RECORDING_POLICY).run(
+            MixedSource(requests))
+        _assert_identical(general, kernel)
         assert (kernel.reads, kernel.writes, kernel.turnarounds) == (
             general.reads, general.writes, general.turnarounds)
-        assert kernel.commands == general.commands
 
-    def test_mixed_requests_engine_keyword(self, tiny_config):
+    def test_small_mixed_stream(self, tiny_config):
         requests = [(False, 0, 0, 0), (False, 1, 0, 0),
                     (True, 0, 0, 0), (True, 2, 1, 3)]
-        general = run_mixed_phase(tiny_config, requests)
-        kernel = run_mixed_phase(tiny_config, requests, engine=ENGINE_KERNEL)
+        general = SchedulingEngine(tiny_config, ControllerConfig()).run(
+            MixedSource(requests))
+        kernel = KernelEngine(tiny_config, ControllerConfig()).run(
+            MixedSource(requests))
         assert kernel.stats == general.stats
 
 
+@pytest.mark.usefixtures("native_kernel")
 class TestTraceReplay:
     """Kernel-produced schedules satisfy the independent JEDEC oracle."""
 
@@ -182,8 +226,7 @@ class TestTraceReplay:
         config = get_config(config_name)
         mapping = _mapping(config, mapping_name)
         result = simulate_phase_result(config, mapping, OP_READ,
-                                       RECORDING_POLICY,
-                                       engine=ENGINE_KERNEL)
+                                       RECORDING_POLICY)
         assert result.commands, "recording policy produced no commands"
         violations = check_phase_commands(config, result.commands)
         assert violations == [], violations[:5]
@@ -191,30 +234,161 @@ class TestTraceReplay:
     def test_write_phase_replay_is_clean(self, ddr4):
         mapping = _mapping(ddr4, "row-major")
         result = simulate_phase_result(ddr4, mapping, OP_WRITE,
-                                       RECORDING_POLICY,
-                                       engine=ENGINE_KERNEL)
+                                       RECORDING_POLICY)
         violations = check_phase_commands(ddr4, result.commands)
         assert violations == [], violations[:5]
 
     def test_mixed_replay_is_clean(self, ddr4):
-        mapping = _mapping(ddr4, "optimized", n=24)
-        result = steady_state_interleaver(ddr4, mapping, group=4,
-                                          policy=RECORDING_POLICY,
-                                          engine=ENGINE_KERNEL)
+        result = KernelEngine(ddr4, RECORDING_POLICY).run(
+            MixedSource(_mixed_requests(ddr4)))
         assert result.commands, "recording policy produced no commands"
         violations = check_phase_commands(ddr4, result.commands)
         assert violations == [], violations[:5]
 
 
-class TestBackendSelection:
-    def test_explicit_native_requires_toolchain(self, ddr4, monkeypatch):
-        monkeypatch.setattr(_kernelc, "available", lambda: False)
-        with pytest.raises(RuntimeError, match="unavailable"):
-            KernelEngine(ddr4, ControllerConfig(), native=True)
+class TestSchedulerSelection:
+    """``make_scheduler`` picks native when it loads, general otherwise."""
 
-    def test_python_fallback_always_constructs(self, ddr4):
-        engine = KernelEngine(ddr4, ControllerConfig(), native=False)
+    def test_native_when_available(self, ddr4, native_kernel):
+        assert isinstance(make_scheduler(ddr4, ControllerConfig()),
+                          KernelEngine)
+        assert isinstance(MemoryController(ddr4)._engine, KernelEngine)
+
+    def test_general_when_unavailable(self, ddr4, general_only):
+        assert type(make_scheduler(ddr4, ControllerConfig())) is SchedulingEngine
         mapping = _mapping(ddr4, "row-major", n=16)
-        result = engine.run(as_workload(mapping.write_addresses_array()),
-                            op=OP_WRITE)
+        result = MemoryController(ddr4).run_phase(
+            mapping.write_addresses_array(), OP_WRITE)
         assert result.stats.requests == mapping.space.num_elements
+
+    def test_kernel_refuses_without_native(self, ddr4, general_only):
+        with pytest.raises(RuntimeError, match="unavailable"):
+            KernelEngine(ddr4, ControllerConfig())
+
+    def test_failed_build_warns_and_falls_back(self, ddr4, tmp_path,
+                                               monkeypatch):
+        """A compiler that fails is loud; the schedule is unchanged."""
+        mapping = _mapping(ddr4, "optimized", n=24)
+        expected = SchedulingEngine(ddr4, ControllerConfig()).run(
+            as_workload(mapping.read_addresses_array()), op=OP_READ).stats
+
+        def failing_build(command, **kwargs):
+            return subprocess.CompletedProcess(
+                command, 1, stdout=b"",
+                stderr=b"kernel.c:1: error: simulated failure\n")
+
+        monkeypatch.setenv("REPRO_KERNELC_CACHE", str(tmp_path))
+        monkeypatch.setattr(_kernelc, "which", lambda name: "/usr/bin/cc")
+        monkeypatch.setattr(_kernelc.subprocess, "run", failing_build)
+        monkeypatch.setattr(_kernelc, "_loaded", None)
+        monkeypatch.setattr(_kernelc, "_load_attempted", False)
+        with pytest.warns(RuntimeWarning) as caught:
+            controller = MemoryController(ddr4)
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert _kernelc._cache_path() in message
+        assert "simulated failure" in message
+        assert type(controller._engine) is SchedulingEngine
+        stats = controller.run_phase(mapping.read_addresses_array(),
+                                     OP_READ).stats
+        assert stats == expected
+        assert stats.energy_tally == expected.energy_tally
+
+
+class TestCacheTrust:
+    """A cached object another user could have written is never loaded."""
+
+    @pytest.fixture
+    def fresh_load(self, tmp_path, monkeypatch):
+        """Point the cache at ``tmp_path/cache`` and record every load."""
+        if _kernelc.which("cc") is None and _kernelc.which("gcc") is None:
+            pytest.skip("no C compiler")
+        cache = tmp_path / "cache"
+        private_root = tmp_path / "private"
+        private_root.mkdir()
+        monkeypatch.setenv("REPRO_KERNELC_CACHE", str(cache))
+        monkeypatch.setattr(_kernelc.tempfile, "tempdir", str(private_root))
+        monkeypatch.setattr(_kernelc, "_loaded", None)
+        monkeypatch.setattr(_kernelc, "_load_attempted", False)
+        loaded_paths = []
+        real_cdll = _kernelc.ctypes.CDLL
+
+        def recording_cdll(path, *args, **kwargs):
+            loaded_paths.append(str(path))
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(_kernelc.ctypes, "CDLL", recording_cdll)
+        return cache, private_root, loaded_paths
+
+    def _plant(self, cache):
+        cache.mkdir(mode=0o700, exist_ok=True)
+        planted = cache / _kernelc._so_name()
+        planted.write_bytes(b"not a shared object")
+        return planted
+
+    def _assert_built_privately(self, planted, private_root, loaded_paths):
+        assert _kernelc.load() is not None
+        assert str(planted) not in loaded_paths
+        assert len(loaded_paths) == 1
+        assert loaded_paths[0].startswith(str(private_root))
+        assert planted.read_bytes() == b"not a shared object"
+        assert list(private_root.iterdir()) == []  # private build removed
+
+    def test_foreign_owned_cache_dir_not_loaded(self, fresh_load,
+                                                monkeypatch):
+        cache, private_root, loaded_paths = fresh_load
+        planted = self._plant(cache)
+        real_uid = _kernelc.os.getuid()
+        monkeypatch.setattr(_kernelc.os, "getuid", lambda: real_uid + 1)
+        self._assert_built_privately(planted, private_root, loaded_paths)
+
+    def test_group_writable_object_not_loaded(self, fresh_load):
+        cache, private_root, loaded_paths = fresh_load
+        planted = self._plant(cache)
+        planted.chmod(0o664)
+        self._assert_built_privately(planted, private_root, loaded_paths)
+
+    def test_world_writable_cache_dir_not_loaded(self, fresh_load):
+        cache, private_root, loaded_paths = fresh_load
+        planted = self._plant(cache)
+        cache.chmod(0o777)
+        self._assert_built_privately(planted, private_root, loaded_paths)
+
+    def test_symlinked_object_not_loaded(self, fresh_load, tmp_path):
+        cache, private_root, loaded_paths = fresh_load
+        cache.mkdir(mode=0o700)
+        target = tmp_path / "elsewhere.so"
+        target.write_bytes(b"not a shared object")
+        link = cache / _kernelc._so_name()
+        link.symlink_to(target)
+        assert _kernelc.load() is not None
+        assert str(link) not in loaded_paths
+        assert loaded_paths[0].startswith(str(private_root))
+
+    def test_own_private_cache_is_built_and_reused(self, fresh_load,
+                                                   monkeypatch):
+        cache, private_root, loaded_paths = fresh_load
+        assert _kernelc.load() is not None
+        so_path = cache / _kernelc._so_name()
+        assert loaded_paths == [str(so_path)]
+        assert cache.stat().st_mode & 0o077 == 0
+        monkeypatch.setattr(_kernelc, "_loaded", None)
+        monkeypatch.setattr(_kernelc, "_load_attempted", False)
+        monkeypatch.setattr(_kernelc, "_compile", lambda path: pytest.fail(
+            "a trusted cached object must be reused, not rebuilt"))
+        assert _kernelc.load() is not None
+        assert loaded_paths == [str(so_path)] * 2
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestRecordTape:
+    """The fixed-size record tape drains without changing the commands."""
+
+    @pytest.mark.parametrize("tape_rows", (1, 5, 64))
+    def test_tiny_tape_matches_general(self, ddr4, monkeypatch, tape_rows):
+        monkeypatch.setattr(kernel_module, "_TAPE_ROWS", tape_rows)
+        mapping = _mapping(ddr4, "row-major", n=128)
+        general, kernel = _run_engines(ddr4, mapping, OP_READ,
+                                       RECORDING_POLICY)
+        assert kernel.stats.refreshes > 0
+        _assert_identical(general, kernel)

@@ -5,15 +5,17 @@ Two layers of proof for the scheduling-policy zoo
 
 * **Open-page is the pre-policy engine, bit for bit.**  Across the full
   Table I (configuration, mapping) grid, both phases, an explicit
-  ``discipline="open-page"`` run through the engine *and* the
-  batch-advance kernel must equal the frozen seed oracle
+  ``discipline="open-page"`` run through the general engine *and* the
+  native batch-advance kernel must equal the frozen seed oracle
   (:func:`repro.dram._reference.reference_run_phase`) —
   :class:`~repro.dram.stats.PhaseStats`, ``command_counts``, the
   :class:`~repro.dram.stats.EnergyTally` and the full recorded command
-  list — with the ``kernel_fallback`` flag unset.
+  list.
 * **Each new discipline equals its scalar reference.**  100 seeded
   random (configuration, queue-shape, stream-locality, op, cap)
-  scenarios per discipline through ``MemoryController.run_phase`` vs
+  scenarios per discipline through the general engine and the native
+  kernel (which hands the auto-close disciplines to its general
+  engine) vs
   :func:`repro.dram._policy_reference.reference_policy_run_phase`
   (a verbatim port of the frozen oracle plus the auto-close additions,
   or the frozen oracle on the partition-remapped stream), plus mixed
@@ -33,13 +35,13 @@ from repro.dram._policy_reference import (
 )
 from repro.dram._reference import reference_run_phase
 from repro.dram.controller import (
-    ENGINE_GENERAL,
-    ENGINE_KERNEL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
@@ -149,10 +151,8 @@ def _assert_identical(result, expected):
 class TestOpenPageIsThePrePolicyEngine:
     """Explicit open-page == frozen seed oracle on the Table I grid."""
 
-    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
-    @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
-                             ids=PAIR_IDS)
-    def test_grid_cell_bit_identical(self, config_name, mapping_name, op):
+    @staticmethod
+    def _grid_cell(config_name, mapping_name, op):
         config = get_config(config_name)
         space = TriangularIndexSpace(N)
         mapping = MAPPING_FACTORIES[mapping_name](space, config.geometry)
@@ -163,18 +163,29 @@ class TestOpenPageIsThePrePolicyEngine:
             return (mapping.write_addresses_array() if op == OP_WRITE
                     else mapping.read_addresses_array())
 
-        general = MemoryController(config, policy,
-                                   engine=ENGINE_GENERAL).run_phase(
-            chunks(), op)
-        kernel = MemoryController(config, policy,
-                                  engine=ENGINE_KERNEL).run_phase(
-            chunks(), op)
-        oracle = reference_run_phase(config, chunks(), op, policy)
+        return config, policy, chunks
 
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
+                             ids=PAIR_IDS)
+    def test_grid_cell_bit_identical(self, config_name, mapping_name, op):
+        config, policy, chunks = self._grid_cell(config_name, mapping_name, op)
+        general = SchedulingEngine(config, policy).run(
+            as_workload(chunks()), op)
+        oracle = reference_run_phase(config, chunks(), op, policy)
         _assert_matches_oracle(general, oracle)
+
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
+                             ids=PAIR_IDS)
+    def test_grid_cell_kernel_matches_general(self, config_name,
+                                              mapping_name, op,
+                                              native_kernel):
+        config, policy, chunks = self._grid_cell(config_name, mapping_name, op)
+        general = SchedulingEngine(config, policy).run(
+            as_workload(chunks()), op)
+        kernel = KernelEngine(config, policy).run(as_workload(chunks()), op)
         _assert_identical(kernel, general)
-        assert general.stats.kernel_fallback is False
-        assert kernel.stats.kernel_fallback is False
 
 
 class TestNewPolicyHomogeneousBattery:
@@ -182,7 +193,7 @@ class TestNewPolicyHomogeneousBattery:
 
     @pytest.mark.parametrize("index", range(N_PER_POLICY))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
-    def test_engine_matches_reference(self, discipline, index):
+    def test_engine_matches_reference(self, discipline, index, general_only):
         salt = NEW_DISCIPLINES.index(discipline)
         rng = _scenario_rng(salt, index)
         config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
@@ -199,9 +210,10 @@ class TestNewPolicyHomogeneousBattery:
 
     @pytest.mark.parametrize("index", range(0, N_PER_POLICY, 4))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
-    def test_kernel_route_matches_reference(self, discipline, index):
-        """The ``engine="kernel"`` route — native for bank partitioning,
-        visible fallback for the auto-close disciplines — must land on
+    def test_kernel_route_matches_reference(self, discipline, index,
+                                            native_kernel):
+        """The native kernel — its own loop for bank partitioning, its
+        general engine for the auto-close disciplines — must land on
         the same schedule as the scalar reference."""
         salt = NEW_DISCIPLINES.index(discipline)
         rng = _scenario_rng(salt, index)
@@ -210,20 +222,15 @@ class TestNewPolicyHomogeneousBattery:
         requests = _pick_stream(rng, config.geometry.banks)
         op = rng.choice([OP_READ, OP_WRITE])
 
-        kernel_result = MemoryController(config, policy,
-                                         engine=ENGINE_KERNEL).run_phase(
-            iter(requests), op)
-        general_result = MemoryController(config, policy,
-                                          engine=ENGINE_GENERAL).run_phase(
-            iter(requests), op)
+        kernel_result = KernelEngine(config, policy).run(
+            as_workload(iter(requests)), op)
+        general_result = SchedulingEngine(config, policy).run(
+            as_workload(iter(requests)), op)
         reference_result = reference_policy_run_phase(
             config, list(requests), op, policy)
 
         _assert_matches_oracle(kernel_result, reference_result)
         _assert_identical(kernel_result, general_result)
-        expects_fallback = discipline in (POLICY_CLOSED_PAGE,
-                                          POLICY_FRFCFS_CAP)
-        assert kernel_result.stats.kernel_fallback is expects_fallback
 
 
 class TestNewPolicyMixedBattery:

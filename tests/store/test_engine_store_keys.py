@@ -1,71 +1,37 @@
-"""The scheduling-engine knob never enters the store key space.
+"""The scheduler backend never enters the store key space.
 
-A ``--kernel`` run and a general-engine run of the same cell are
-bit-identical by the kernel's equivalence contract, so they must share
-one cache entry: same :func:`~repro.store.records.derive_key`, and —
-end to end — a store warmed by one engine serves the other with zero
-engine invocations (the crash-consistency property: a sweep interrupted
-under one engine resumes under the other without recomputing).
+The native kernel and the general engine are bit-identical by the
+kernel's equivalence contract, and :func:`~repro.dram.kernel.make_scheduler`
+picks between them per host.  A store written on a host with the
+native object must therefore serve a host without it (and vice versa)
+with zero engine invocations: a sweep interrupted on one resumes on the
+other without recomputing.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.dram.controller import ENGINE_GENERAL, ENGINE_KERNEL, OP_READ, OP_WRITE
-from repro.store.records import (
-    KIND_MIXED,
-    KIND_PHASE,
-    derive_key,
-    mixed_task_config,
-    phase_task_config,
-)
+from repro.dram import _kernelc
+from repro.dram.controller import OP_READ, OP_WRITE
+from repro.store.records import KIND_PHASE, derive_key, phase_task_config
 from repro.store.store import ResultStore
 from repro.system import parallel as parallel_module
-from repro.system.parallel import MixedTask, PhaseTask, share_phase_chunks
+from repro.system.parallel import PhaseTask
 from repro.system.sweep import run_table1
 
 N = 16
 
 
-def _phase_task(engine):
-    return PhaseTask(config_name="DDR4-3200", mapping="optimized",
-                     op=OP_READ, n=N, engine=engine)
+def test_distinct_cells_still_distinct():
+    task = PhaseTask(config_name="DDR4-3200", mapping="optimized",
+                     op=OP_READ, n=N)
+    other = replace(task, op=OP_WRITE)
+    assert (derive_key(KIND_PHASE, phase_task_config(task))
+            != derive_key(KIND_PHASE, phase_task_config(other)))
 
 
-class TestKeyDerivation:
-    def test_phase_config_excludes_engine(self):
-        general, kernel = (_phase_task(e)
-                           for e in (ENGINE_GENERAL, ENGINE_KERNEL))
-        assert phase_task_config(general) == phase_task_config(kernel)
-        assert (derive_key(KIND_PHASE, phase_task_config(general))
-                == derive_key(KIND_PHASE, phase_task_config(kernel)))
-
-    def test_phase_config_excludes_chunk_payload(self):
-        task = _phase_task(ENGINE_KERNEL)
-        shared = share_phase_chunks(task)
-        try:
-            assert phase_task_config(shared) == phase_task_config(task)
-        finally:
-            assert shared.chunks is not None
-            shared.chunks.unlink()
-
-    def test_mixed_config_excludes_engine(self):
-        tasks = [MixedTask(config_name="DDR4-3200", mapping="optimized",
-                           n=N, group=4, engine=engine)
-                 for engine in (ENGINE_GENERAL, ENGINE_KERNEL)]
-        assert mixed_task_config(tasks[0]) == mixed_task_config(tasks[1])
-        assert (derive_key(KIND_MIXED, mixed_task_config(tasks[0]))
-                == derive_key(KIND_MIXED, mixed_task_config(tasks[1])))
-
-    def test_distinct_cells_still_distinct(self):
-        task = _phase_task(ENGINE_KERNEL)
-        other = replace(task, op=OP_WRITE)
-        assert (derive_key(KIND_PHASE, phase_task_config(task))
-                != derive_key(KIND_PHASE, phase_task_config(other)))
-
-
-class TestCrossEngineCacheHits:
+class TestCrossBackendCacheHits:
     @pytest.fixture
     def phase_counter(self, monkeypatch):
         """Count entries into the phase worker."""
@@ -79,26 +45,30 @@ class TestCrossEngineCacheHits:
         monkeypatch.setattr(parallel_module, "execute_phase_task", counting)
         return counts
 
-    def test_kernel_sweep_hits_general_warmed_store(self, tmp_path,
-                                                    phase_counter):
+    def _sweep(self, store):
+        return run_table1(n=N, config_names=("DDR4-3200",), jobs=1,
+                          store=store)
+
+    def test_general_sweep_hits_native_warmed_store(
+            self, tmp_path, phase_counter, native_kernel, monkeypatch):
         store = ResultStore(str(tmp_path))
-        cold = run_table1(n=N, config_names=("DDR4-3200",), jobs=1,
-                          store=store, engine=ENGINE_GENERAL)
+        cold = self._sweep(store)
         cold_entries = phase_counter["phase"]
         assert cold_entries > 0
-        warm = run_table1(n=N, config_names=("DDR4-3200",), jobs=1,
-                          store=store, engine=ENGINE_KERNEL)
-        # zero engine invocations: every kernel cell is a cache hit
+        monkeypatch.setattr(_kernelc, "available", lambda: False)
+        warm = self._sweep(store)
+        # zero engine invocations: every general-engine cell is a hit
         assert phase_counter["phase"] == cold_entries
         assert warm == cold
 
-    def test_general_sweep_hits_kernel_warmed_store(self, tmp_path,
-                                                    phase_counter):
+    def test_native_sweep_hits_general_warmed_store(
+            self, tmp_path, phase_counter, native_kernel, monkeypatch):
         store = ResultStore(str(tmp_path))
-        cold = run_table1(n=N, config_names=("DDR4-3200",), jobs=1,
-                          store=store, engine=ENGINE_KERNEL)
+        with monkeypatch.context() as forced:
+            forced.setattr(_kernelc, "available", lambda: False)
+            cold = self._sweep(store)
         cold_entries = phase_counter["phase"]
-        warm = run_table1(n=N, config_names=("DDR4-3200",), jobs=1,
-                          store=store, engine=ENGINE_GENERAL)
+        assert cold_entries > 0
+        warm = self._sweep(store)
         assert phase_counter["phase"] == cold_entries
         assert warm == cold

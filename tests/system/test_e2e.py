@@ -252,12 +252,13 @@ DIFFERENTIAL_GRID = [
 
 
 class TestDifferentialBattery:
-    """The acceptance gate: batched bridge == per-frame scalar oracle."""
+    """The acceptance gate: batched bridge == per-frame scalar oracle,
+    once per scheduler backend."""
 
     @pytest.mark.parametrize(
         "channel_args,n,config_name,mapping,policy", DIFFERENTIAL_GRID)
     def test_batched_equals_reference(self, channel_args, n, config_name,
-                                      mapping, policy):
+                                      mapping, policy, scheduler_backend):
         fade, fraction, p_bad, p_good = channel_args
         cell = E2ECell(
             channel=coherence_params(fade, fraction, p_bad=p_bad,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.dram import _kernelc
 
 
 class TestParser:
@@ -49,18 +50,14 @@ class TestTable1:
                      "--jobs", "2"]) == 0
         assert "DDR3-800" in capsys.readouterr().out
 
-    def test_kernel_flag_output_identical(self, capsys):
-        assert main(["table1", "--n", "48", "--configs", "DDR4-3200"]) == 0
-        general = capsys.readouterr().out
-        assert main(["table1", "--n", "48", "--configs", "DDR4-3200",
-                     "--kernel"]) == 0
-        assert capsys.readouterr().out == general
-
-    def test_kernel_flag_registered_on_sweeps(self):
-        parser = build_parser()
-        for command in ("table1", "mixed", "ablation", "energy"):
-            args = parser.parse_args([command, "--kernel"])
-            assert args.kernel is True
+    def test_output_identical_without_native(self, capsys, native_kernel,
+                                             monkeypatch):
+        argv = ["table1", "--n", "48", "--configs", "DDR4-3200"]
+        assert main(argv) == 0
+        native = capsys.readouterr().out
+        monkeypatch.setattr(_kernelc, "available", lambda: False)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == native
 
 
 class TestMixed:
