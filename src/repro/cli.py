@@ -112,6 +112,7 @@ from repro.system.sweep import (
     run_policy_table,
     run_table1,
     sweep_ablation,
+    table1_capacity_errors,
 )
 from repro.system.throughput import (
     PARETO_CSV_FIELDS,
@@ -200,6 +201,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     policy_error = _policy_error(args)
     if policy_error:
         print(f"error: {policy_error}", file=sys.stderr)
+        return 2
+    capacity_errors = table1_capacity_errors(args.n, names)
+    if capacity_errors:
+        for line in capacity_errors:
+            print(f"error: n={args.n} does not fit {line}", file=sys.stderr)
         return 2
     policy = _policy_from(args)
     rows = run_table1(n=args.n, config_names=names, policy=policy,

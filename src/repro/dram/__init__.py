@@ -19,7 +19,7 @@ Public surface:
 from __future__ import annotations
 
 from repro.dram.address import DramAddress, LinearDecoder
-from repro.dram.commands import CommandType, ScheduledCommand
+from repro.dram.commands import CommandTape, CommandType, ScheduledCommand
 from repro.dram.energy import (
     EnergyParams,
     EnergyReport,
@@ -110,6 +110,7 @@ __all__ = [
     "RefreshScheduler",
     "RowShiftedMapping",
     "ScheduledCommand",
+    "CommandTape",
     "TABLE1_CONFIG_NAMES",
     "TimingParams",
     "TraceChecker",

@@ -64,7 +64,9 @@ EXIT_REFRESH = 1
 EXIT_RECORD_FULL = 2
 EXIT_DEADLOCK = 3
 
-#: Command kinds in the record columns (decoded by the kernel wrapper).
+#: Command kinds in the record columns (remapped to the shared command
+#: codes of :mod:`repro.dram.commands` when the kernel wrapper drains
+#: the buffer).
 #: ``REC_REF`` is written by the Python refresh section only; the C
 #: side records ACT/PRE/CAS.
 REC_ACT = 0

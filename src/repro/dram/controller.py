@@ -77,10 +77,10 @@ produce bit-identical results (the kernel's contract; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.dram.bank import BankSnapshot
-from repro.dram.commands import ScheduledCommand
+from repro.dram.commands import CommandTape, ScheduledCommand
 from repro.dram.engine import OP_READ, OP_WRITE, SchedulingEngine, as_workload
 from repro.dram.kernel import KernelEngine, make_scheduler
 from repro.dram.policy import (
@@ -130,8 +130,9 @@ class ControllerConfig:
         refresh_enabled: model refresh commands (the paper's default) or
             suppress them (legal while interleaver data lives shorter
             than the retention period — the paper's >99 % experiment).
-        record_commands: keep the full scheduled-command list on the
-            result for inspection; costs memory, used by tests.
+        record_commands: keep the full schedule on the result as a
+            :class:`~repro.dram.commands.CommandTape` (48 bytes per
+            command); used by tests, traces and the e2e latency fold.
         discipline: page-management discipline (one of
             :data:`~repro.dram.policy.POLICY_NAMES`); the default
             :data:`~repro.dram.policy.POLICY_OPEN_PAGE` is the engine's
@@ -160,10 +161,20 @@ class ControllerConfig:
 
 @dataclass
 class PhaseResult:
-    """Outcome of one simulated phase."""
+    """Outcome of one simulated phase.
+
+    Attributes:
+        stats: aggregate phase statistics.
+        commands: the recorded schedule (empty unless the policy sets
+            ``record_commands``).  The scheduler returns a columnar
+            :class:`~repro.dram.commands.CommandTape`, which is also a
+            lazy sequence of
+            :class:`~repro.dram.commands.ScheduledCommand`.
+    """
 
     stats: PhaseStats
-    commands: List[ScheduledCommand] = field(default_factory=list)
+    commands: Sequence[ScheduledCommand] = field(
+        default_factory=CommandTape.empty)
 
 
 class MemoryController:

@@ -33,7 +33,8 @@ differential battery in ``tests/dram/test_energy_differential.py``:
   every :class:`~repro.dram.stats.PhaseStats` (free: the engine already
   keeps every counter the model charges);
 * :func:`energy_from_commands` — the vectorized NumPy recount over a
-  recorded command list or prebuilt :func:`command_arrays`;
+  recorded :class:`~repro.dram.commands.CommandTape` (read column by
+  column) or prebuilt :func:`command_arrays`;
 * :func:`energy_from_commands_reference` — the scalar per-command
   Python loop, kept as the readable oracle (and the baseline the
   ``benchmarks/bench_energy.py`` speedup assertion is pinned against).
@@ -50,7 +51,9 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.dram.commands import CommandType, ScheduledCommand
+from repro.dram.commands import (CODE_ACT, CODE_RD, CODE_REF_ALL,
+                                 CODE_REF_BANK, CODE_WR, COMMAND_OF,
+                                 CommandTape, CommandType, ScheduledCommand)
 from repro.dram.presets import REFRESH_PER_BANK, DramConfig
 from repro.dram.stats import EnergyTally, PhaseStats
 from repro.units import PS_PER_S
@@ -283,33 +286,23 @@ def energy_from_tally(config: DramConfig, tally: EnergyTally,
                          makespan_ps=tally.makespan_ps)
 
 
-#: Integer codes for the vectorized command recount.
-_CODE_OF: Dict[CommandType, int] = {
-    CommandType.ACT: 0,
-    CommandType.PRE: 1,
-    CommandType.RD: 2,
-    CommandType.WR: 3,
-    CommandType.REF_ALL: 4,
-    CommandType.REF_BANK: 5,
-}
-
-#: A command list lowered to columnar arrays: (codes int8, times int64).
+#: A recorded schedule lowered to columnar arrays: (codes, times), both
+#: int64, codes from :data:`~repro.dram.commands.CODE_OF`.
 CommandArrays = Tuple[NDArray[Any], NDArray[Any]]
 
 
-def command_arrays(commands: Sequence[ScheduledCommand]) -> CommandArrays:
-    """Lower a recorded command list to ``(codes, times)`` NumPy arrays.
+def command_arrays(commands: Iterable[ScheduledCommand]) -> CommandArrays:
+    """Lower a recorded schedule to ``(codes, times)`` NumPy arrays.
 
-    The columnar shape :func:`energy_from_commands` consumes directly;
-    lower once, recount as often as needed (e.g. under several
-    parameter sets) at pure-NumPy speed.
+    The columnar shape :func:`energy_from_commands` consumes directly.
+    A :class:`~repro.dram.commands.CommandTape` (what the schedulers
+    record) already holds both columns and is returned without a
+    Python loop; any other iterable of :class:`ScheduledCommand` is
+    lowered once, after which recounts (e.g. under several parameter
+    sets) run at pure-NumPy speed.
     """
-    n = len(commands)
-    codes = np.fromiter((_CODE_OF[c.command] for c in commands),
-                        dtype=np.int8, count=n)
-    times = np.fromiter((c.time_ps for c in commands),
-                        dtype=np.int64, count=n)
-    return codes, times
+    tape = CommandTape.from_commands(commands)
+    return tape.code, tape.time_ps
 
 
 def _trace_makespan(config: DramConfig, rd_times: NDArray[Any],
@@ -341,8 +334,10 @@ def energy_from_commands(
 
     Args:
         config: the configuration the commands were scheduled for.
-        commands: a recorded :class:`ScheduledCommand` sequence (from
-            ``policy.record_commands``) or the prebuilt
+        commands: a recorded schedule (the
+            :class:`~repro.dram.commands.CommandTape` from
+            ``policy.record_commands``, or any sequence of
+            :class:`ScheduledCommand`) or the prebuilt
             :func:`command_arrays` columnar form.
         params: override the preset energy parameters.
 
@@ -360,21 +355,20 @@ def energy_from_commands(
     else:
         codes, times = command_arrays(
             commands if hasattr(commands, "__len__") else list(commands))
-    counts = np.bincount(codes, minlength=len(_CODE_OF))
-    rd = int(counts[_CODE_OF[CommandType.RD]])
-    wr = int(counts[_CODE_OF[CommandType.WR]])
+    counts = np.bincount(codes, minlength=len(COMMAND_OF))
+    rd = int(counts[CODE_RD])
+    wr = int(counts[CODE_WR])
     makespan = _trace_makespan(
         config,
-        times[codes == _CODE_OF[CommandType.RD]] if rd else times[:0],
-        times[codes == _CODE_OF[CommandType.WR]] if wr else times[:0],
+        times[codes == CODE_RD] if rd else times[:0],
+        times[codes == CODE_WR] if wr else times[:0],
     )
     return _build_report(
         config, params,
-        act_pre=int(counts[_CODE_OF[CommandType.ACT]]),
+        act_pre=int(counts[CODE_ACT]),
         rd=rd,
         wr=wr,
-        ref=int(counts[_CODE_OF[CommandType.REF_ALL]]
-                + counts[_CODE_OF[CommandType.REF_BANK]]),
+        ref=int(counts[CODE_REF_ALL] + counts[CODE_REF_BANK]),
         makespan_ps=makespan,
     )
 

@@ -30,7 +30,7 @@ adapters over the single engine here, which layers as
   integer-picosecond timeline (see :mod:`repro.dram.controller` for the
   quantization contract), producing
   :class:`~repro.dram.stats.PhaseStats` and, on request, the full
-  :class:`~repro.dram.commands.ScheduledCommand` list.
+  schedule as a :class:`~repro.dram.commands.CommandTape`.
 
 The engine is proven bit-identical to both pre-refactor schedulers
 (frozen in :mod:`repro.dram._reference`) by the differential batteries
@@ -54,7 +54,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.dram.bank import BankSnapshot
-from repro.dram.commands import CAS_COMMANDS, CommandType, ScheduledCommand
+from repro.dram.commands import (CAS_COMMANDS, CODE_ACT, CODE_PRE, CODE_RD,
+                                 CODE_REF_ALL, CODE_REF_BANK, CODE_WR,
+                                 CommandTape, CommandType, ScheduledCommand,
+                                 TapeBuilder)
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -323,7 +326,10 @@ class EngineResult:
 
     Attributes:
         stats: aggregate phase statistics.
-        commands: the scheduled command list (``policy.record_commands``).
+        commands: the recorded schedule as a columnar
+            :class:`~repro.dram.commands.CommandTape` (empty unless
+            ``policy.record_commands``); it is also a lazy sequence of
+            :class:`~repro.dram.commands.ScheduledCommand`.
         reads: read bursts issued (``stats.requests`` for a homogeneous
             read phase, the direction split for mixed sources).
         writes: write bursts issued.
@@ -331,7 +337,7 @@ class EngineResult:
     """
 
     stats: PhaseStats
-    commands: List[ScheduledCommand] = field(default_factory=list)
+    commands: CommandTape = field(default_factory=CommandTape.empty)
     reads: int = 0
     writes: int = 0
     turnarounds: int = 0
@@ -456,7 +462,8 @@ class SchedulingEngine:
             cap_limit = 0
         auto_close = cap_limit > 0
         streak = [0] * self._banks
-        commands: List[ScheduledCommand] = []
+        tape = TapeBuilder()
+        add_command = tape.add
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
 
@@ -685,7 +692,7 @@ class SchedulingEngine:
                             if remainder:
                                 t_pre += tck - remainder
                         if record:
-                            commands.append(ScheduledCommand(t_pre, CommandType.PRE, bank=b))
+                            add_command(t_pre, CODE_PRE, b)
                         pres += 1
                         open_row[b] = None
                         bank_free_at = t_pre + trp
@@ -706,14 +713,10 @@ class SchedulingEngine:
                 rescan_all = True  # cached deferral times are stale now
                 refs += 1
                 if record:
-                    kind = CommandType.REF_ALL if all_bank_refresh else CommandType.REF_BANK
-                    commands.append(
-                        ScheduledCommand(
-                            ref_time,
-                            kind,
-                            bank=-1 if all_bank_refresh else event.banks[0],
-                        )
-                    )
+                    if all_bank_refresh:
+                        add_command(ref_time, CODE_REF_ALL)
+                    else:
+                        add_command(ref_time, CODE_REF_BANK, event.banks[0])
                 deadline = refresh.next_deadline_ps
 
             # ---- eager per-bank row management ----------------------------
@@ -795,7 +798,7 @@ class SchedulingEngine:
                             misses += 1
                             pres += 1
                             if record:
-                                commands.append(ScheduledCommand(t_pre, CommandType.PRE, bank=b))
+                                add_command(t_pre, CODE_PRE, b)
                         bg = bg_of[b]
                         t_act = act_ready
                         if last_act != _FAR_PAST:
@@ -816,7 +819,7 @@ class SchedulingEngine:
                         last_act_bg = bg
                         acts += 1
                         if record:
-                            commands.append(ScheduledCommand(t_act, CommandType.ACT, bank=b, row=row))
+                            add_command(t_act, CODE_ACT, b, row)
                         open_row[b] = row
                         act_time[b] = t_act
                         cas_allowed[b] = t_act + trcd
@@ -990,12 +993,8 @@ class SchedulingEngine:
             if t > pre_allowed[chosen]:
                 pre_allowed[chosen] = t
             if record:
-                kind = CommandType.RD if req_read else CommandType.WR
-                commands.append(
-                    ScheduledCommand(
-                        t_cas, kind, bank=chosen, row=row, column=col, request_id=n_requests
-                    )
-                )
+                add_command(t_cas, CODE_RD if req_read else CODE_WR, chosen,
+                            row, col, n_requests)
             n_requests += 1
             if closing:
                 # Auto-precharge: close the row at its precharge-ready
@@ -1008,7 +1007,7 @@ class SchedulingEngine:
                     if remainder:
                         t_pre += tck - remainder
                 if record:
-                    commands.append(ScheduledCommand(t_pre, CommandType.PRE, bank=chosen))
+                    add_command(t_pre, CODE_PRE, chosen)
                 pres += 1
                 open_row[chosen] = None
                 act_allowed[chosen] = t_pre + trp
@@ -1067,5 +1066,5 @@ class SchedulingEngine:
         # model charges already exists for the scheduling statistics.
         stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
                                          ref=refs, makespan_ps=last_data_end)
-        return EngineResult(stats=stats, commands=commands, reads=reads,
+        return EngineResult(stats=stats, commands=tape.build(), reads=reads,
                             writes=writes, turnarounds=turnarounds)

@@ -51,7 +51,7 @@ order once the bus frontier reaches them, and charge tRRD_S/L and the
 tFAW ring identically.  Refresh, intake windowing (``queue_depth`` /
 ``per_bank_depth``) and command recording are likewise ports, so
 ``PhaseStats``, ``EnergyTally``, ``command_counts`` and recorded
-command lists all match the general engine exactly — proven by the
+command tapes all match the general engine exactly — proven by the
 differential batteries in ``tests/dram/test_kernel_differential.py``
 across random scenarios and the full Table I grid.
 
@@ -77,7 +77,9 @@ import numpy as np
 
 from repro.dram import _kernelc
 from repro.dram.bank import BankSnapshot
-from repro.dram.commands import CommandType, ScheduledCommand
+from repro.dram.commands import (CODE_ACT, CODE_PRE, CODE_RD, CODE_REF_ALL,
+                                 CODE_REF_BANK, CODE_WR, CommandType,
+                                 TapeBuilder)
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
                                _PartitionedSource)
@@ -95,9 +97,10 @@ if TYPE_CHECKING:
 
 _FAR_PAST = -(10**15)
 
-#: Rows of the fixed-size command-record tape.  The tape is decoded into
-#: ``ScheduledCommand`` objects and reset whenever it fills, so its
-#: memory does not grow with the phase length.
+#: Rows of the fixed-size command-record buffer the compiled loop writes.
+#: Whenever it fills, its rows are copied out as one int64 block (codes
+#: remapped to :data:`~repro.dram.commands.CODE_OF`) and it is reset, so
+#: the buffer itself does not grow with the phase length.
 _TAPE_ROWS = 4096
 
 
@@ -336,23 +339,22 @@ class KernelEngine:
             act_allowed, bg_of, last_cas_bg, faw_ring, fresh, heap,
             commit, rec)]
 
-        commands: List[ScheduledCommand] = []
-        cas_kind = CommandType.RD if is_read else CommandType.WR
-        ref_kind = (CommandType.REF_ALL if all_bank_refresh
-                    else CommandType.REF_BANK)
-        kind_by_code = {_kernelc.REC_ACT: CommandType.ACT,
-                        _kernelc.REC_PRE: CommandType.PRE,
-                        _kernelc.REC_CAS: cas_kind,
-                        _kernelc.REC_REF: ref_kind}
+        tape = TapeBuilder()
+        # Kernel record kinds -> canonical command codes; the CAS and
+        # refresh kinds resolve by phase direction and refresh mode.
+        canonical = np.zeros(4, dtype=np.int64)
+        canonical[_kernelc.REC_ACT] = CODE_ACT
+        canonical[_kernelc.REC_PRE] = CODE_PRE
+        canonical[_kernelc.REC_CAS] = CODE_RD if is_read else CODE_WR
+        canonical[_kernelc.REC_REF] = (CODE_REF_ALL if all_bank_refresh
+                                       else CODE_REF_BANK)
 
         def drain_tape(rec_count: int) -> int:
-            """Decode the first ``rec_count`` tape rows; the new count."""
-            flat = rec[:rec_count * 6].tolist()
-            for i in range(0, len(flat), 6):
-                commands.append(ScheduledCommand(
-                    flat[i], kind_by_code[flat[i + 1]], bank=flat[i + 2],
-                    row=flat[i + 3], column=flat[i + 4],
-                    request_id=flat[i + 5]))
+            """Move the first ``rec_count`` record rows out; the new count."""
+            if rec_count:
+                rows = rec[:rec_count * 6].copy()
+                rows[1::6] = canonical[rows[1::6]]
+                tape.add_rows(rows)
             return 0
 
         refs_total = 0
@@ -450,6 +452,7 @@ class KernelEngine:
 
         if record:
             drain_tape(int(sc[_kernelc.S_REC_COUNT]))
+        commands = tape.build()
 
         stats = PhaseStats()
         stats.requests = n_requests

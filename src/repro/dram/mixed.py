@@ -29,9 +29,9 @@ mixed schedule can be dumped with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from repro.dram.commands import ScheduledCommand
+from repro.dram.commands import CommandTape, ScheduledCommand
 from repro.dram.controller import ControllerConfig
 from repro.dram.engine import MixedSource, SchedulingEngine
 from repro.dram.presets import DramConfig
@@ -51,15 +51,19 @@ class MixedResult:
         reads: number of read bursts.
         writes: number of write bursts.
         turnarounds: bus direction switches that occurred.
-        commands: the scheduled command list (only populated when the
-            policy sets ``record_commands``).
+        commands: the recorded schedule (empty unless the policy sets
+            ``record_commands``): a columnar
+            :class:`~repro.dram.commands.CommandTape`, which is also a
+            lazy sequence of
+            :class:`~repro.dram.commands.ScheduledCommand`.
     """
 
     stats: PhaseStats
     reads: int
     writes: int
     turnarounds: int
-    commands: List[ScheduledCommand] = field(default_factory=list)
+    commands: Sequence[ScheduledCommand] = field(
+        default_factory=CommandTape.empty)
 
     @property
     def utilization(self) -> float:

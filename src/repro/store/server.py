@@ -32,6 +32,10 @@ from typing import Any, Optional, Tuple
 from repro.store.jobs import JobEngine, JobRecord
 from repro.store.store import ResultStore
 
+#: Largest ``POST /jobs`` body accepted (a grid spec is a few hundred
+#: bytes); longer requests get 413 without their body being read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ReproServer(ThreadingHTTPServer):
     """The HTTP server, carrying the shared :class:`JobEngine`.
@@ -144,13 +148,42 @@ class RequestHandler(BaseHTTPRequestHandler):
             return
         self._send_json(404, {"error": f"no route {self.path}"})
 
+    def _content_length(self) -> Optional[int]:
+        """The request's body length, or ``None`` after an error reply.
+
+        A missing header means no body.  A malformed or negative value
+        is a 400, and a length above :data:`MAX_BODY_BYTES` a 413, both
+        answered before anything is read; the connection then closes,
+        since the unread body cannot be skipped safely.
+        """
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._send_json(400, {
+                "error": f"Content-Length must be a non-negative integer, "
+                         f"got {raw[:40]!r}"})
+            return None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send_json(413, {
+                "error": f"request body of {length} bytes exceeds the "
+                         f"{MAX_BODY_BYTES}-byte limit"})
+            return None
+        return length
+
     def do_POST(self) -> None:
         """Serve job submission (idempotent: same spec, same job)."""
         parts = [part for part in self.path.split("?")[0].split("/") if part]
         if parts != ["jobs"]:
             self._send_json(404, {"error": f"no route {self.path}"})
             return
-        length = int(self.headers.get("Content-Length") or "0")
+        length = self._content_length()
+        if length is None:
+            return
         body = self.rfile.read(length) if length else b""
         try:
             spec = json.loads(body) if body.strip() else {}

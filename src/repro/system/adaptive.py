@@ -55,7 +55,8 @@ from numpy.typing import NDArray
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.system.campaign import CampaignCell, CellResult, wilson_interval
+from repro.system.campaign import (CampaignCell, CellResult, _format_ci,
+                                   wilson_interval)
 from repro.system.downlink import DownlinkResult, OpticalDownlink
 
 
@@ -122,11 +123,6 @@ def _code_from_dict(data: Dict[str, object]) -> CodewordConfig:
         n_symbols=int(cast(int, data["n_symbols"])),
         t_correctable=int(cast(int, data["t_correctable"])),
     )
-
-
-def _format_ci(low: float, high: float) -> str:
-    """Compact ``[low,high]`` interval cell (same format as the campaign table)."""
-    return f"[{low:.2e},{high:.2e}]"
 
 
 def _format_gain(gain: float) -> str:

@@ -538,6 +538,7 @@ def summarize_campaign(results: Sequence[CellResult]) -> List[CampaignSummary]:
 
 
 def _format_ci(low: float, high: float) -> str:
+    """Compact ``[low,high]`` interval cell (campaign and adaptive tables)."""
     return f"[{low:.2e},{high:.2e}]"
 
 

@@ -47,7 +47,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.codeword import CodewordConfig
-from repro.dram.commands import ScheduledCommand
+from repro.dram.commands import CODE_RD, CODE_WR, CommandTape
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
@@ -313,16 +313,16 @@ class E2EResult:
         return latency_percentile_ps(self.read_latencies_ps, q)
 
 
-def _frame_latencies(commands: Sequence[ScheduledCommand], frames: int,
+def _frame_latencies(commands: CommandTape, frames: int,
                      elements_per_frame: int, config: DramConfig,
                      op: str) -> Tuple[int, ...]:
     """Per-frame service times from a recorded homogeneous schedule.
 
     Args:
-        commands: the phase's scheduled command list (with
+        commands: the phase's recorded schedule (with
             ``record_commands`` the engine stamps every RD/WR with its
             sequential ``request_id``; request ``r`` belongs to frame
-            ``r // elements_per_frame``).
+            ``r // elements_per_frame``).  Only its columns are read.
         frames: frames in the stream.
         elements_per_frame: bursts per frame.
         config: DRAM configuration (CAS latency + burst duration turn
@@ -330,21 +330,18 @@ def _frame_latencies(commands: Sequence[ScheduledCommand], frames: int,
         op: phase direction (selects CL vs CWL).
 
     Returns:
-        One latency per frame; they sum to the phase makespan.
+        One latency per frame, as Python ints; they sum to the phase
+        makespan.
     """
     if frames == 0:
         return ()
     timing = config.timing
     latency = timing.cl if op == OP_READ else timing.cwl
     burst = config.burst_duration_ps
-    times = []
-    ids = []
-    for command in commands:
-        if command.moves_data:
-            times.append(command.time_ps)
-            ids.append(command.request_id)
-    ends = np.asarray(times, dtype=np.int64) + latency + burst
-    frame_of = np.asarray(ids, dtype=np.int64) // elements_per_frame
+    code = commands.code
+    cas = (code == CODE_RD) | (code == CODE_WR)
+    ends = commands.time_ps[cas] + (latency + burst)
+    frame_of = commands.request_id[cas] // elements_per_frame
     completion = np.zeros(frames, dtype=np.int64)
     np.maximum.at(completion, frame_of, ends)
     np.maximum.accumulate(completion, out=completion)

@@ -177,6 +177,31 @@ def run_table1(
     return rows
 
 
+def table1_capacity_errors(
+        n: int,
+        config_names: Sequence[str] = TABLE1_CONFIG_NAMES) -> List[str]:
+    """Configurations whose device cannot hold a Table I mapping at ``n``.
+
+    Builds both Table I mappings for every configuration (cheap: no
+    address is generated) and returns one line per configuration on
+    which some mapping fails its capacity check, naming the rows it
+    needs and the rows the device has.  Empty when every cell fits.
+    """
+    space = TriangularIndexSpace(n)
+    errors = []
+    for config_name in config_names:
+        geometry = get_config(config_name).geometry
+        problems = []
+        for factory in default_mappings().values():
+            try:
+                factory(space, geometry).check_capacity()
+            except ValueError as error:
+                problems.append(str(error))
+        if problems:
+            errors.append(f"{config_name}: {'; '.join(problems)}")
+    return errors
+
+
 def format_table1(rows: Sequence[Table1Row]) -> str:
     """Render rows in the layout of the paper's Table I.
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.dram import _kernelc
 from repro.dram import kernel as kernel_module
+from repro.dram._reference import reference_run_phase
 from repro.dram.controller import (
     OP_READ,
     OP_WRITE,
@@ -392,3 +393,9 @@ class TestRecordTape:
                                        RECORDING_POLICY)
         assert kernel.stats.refreshes > 0
         _assert_identical(general, kernel)
+        # The tape was drained many times; the concatenated blocks
+        # equal the frozen oracle's object list command for command.
+        assert len(kernel.commands) > 8 * (tape_rows + 2 * ddr4.geometry.banks)
+        oracle = reference_run_phase(ddr4, _chunks(mapping, OP_READ),
+                                     OP_READ, RECORDING_POLICY)
+        assert list(kernel.commands) == oracle.commands

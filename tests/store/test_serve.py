@@ -1,5 +1,6 @@
 """``repro serve`` HTTP API: submit, poll, results, table, errors."""
 
+import http.client
 import json
 import threading
 import time
@@ -8,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.store.server import create_server
+from repro.store.server import MAX_BODY_BYTES, create_server
 from repro.system.campaign import campaign_report, summarize_campaign
 
 #: Two cells, ~10 frames each: the whole job finishes in well under a second.
@@ -54,6 +55,21 @@ def request_json(server, path, body=None, method=None):
     return status, json.loads(raw)
 
 
+def raw_post(server, headers):
+    """POST /jobs with hand-set headers and no body; (status, JSON)."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/jobs", skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 def poll_until_done(server, job_id):
     deadline = time.monotonic() + DEADLINE_S
     while time.monotonic() < deadline:
@@ -93,6 +109,23 @@ class TestRoutes:
             status, raw = error.code, error.read()
         assert status == 400
         assert "not JSON" in json.loads(raw)["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", "0x10"])
+    def test_post_bad_content_length_400(self, server, length):
+        status, body = raw_post(server, {"Content-Length": length})
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_post_oversized_body_413_before_reading(self, server):
+        # No body is sent: the reply must come from the header alone.
+        status, body = raw_post(
+            server, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_server_still_serves_after_bad_length(self, server):
+        assert raw_post(server, {"Content-Length": "-1"})[0] == 400
+        assert request_json(server, "/healthz") == (200, {"status": "ok"})
 
     def test_post_non_object_400(self, server):
         status, body = request_json(server, "/jobs", body=[1, 2],

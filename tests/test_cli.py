@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli as cli_module
 from repro.cli import build_parser, main
 from repro.dram import _kernelc
 
@@ -39,6 +40,17 @@ class TestTable1:
     def test_unknown_config_fails(self, capsys):
         assert main(["table1", "--configs", "DDR9-1"]) == 2
         assert "unknown configurations" in capsys.readouterr().err
+
+    def test_oversized_n_rejected_before_dispatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_table1", lambda **kwargs:
+                            pytest.fail("infeasible grid was dispatched"))
+        assert main(["table1", "--n", "5000", "--configs", "DDR4-3200",
+                     "LPDDR4-2133", "LPDDR4-4266"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: n=5000 does not fit {name}: optimized mapping needs "
+            f"24649 rows but the device has only 16384"
+            for name in ("LPDDR4-2133", "LPDDR4-4266")]
 
     def test_no_refresh_flag(self, capsys):
         assert main(["table1", "--n", "48", "--no-refresh",
