@@ -8,8 +8,11 @@ general scheduling engine (:mod:`repro.dram.engine`, the fallback)
 and the frozen pre-engine scheduler
 (:mod:`repro.dram._reference`).  All three must be bit-identical; the
 engine must beat the seed and the kernel must beat the engine by the
-pinned factors below.  A small mixed-traffic cell times the turnaround
-rule set through the shared engine core.
+pinned factors below.  The same kernel-vs-engine comparison runs, on a
+smaller grid, for the auto-close disciplines (closed-page, FR-FCFS-cap)
+and for one mixed read/write cell, whose turnaround rules the kernel
+also runs natively.  A small mixed-traffic cell times the turnaround
+rule set through the default scheduler.
 
 Timing protocol: each comparison runs one untimed warmup round, then
 three timed rounds with the contenders interleaved inside every round,
@@ -25,9 +28,11 @@ import pytest
 from repro.dram import _kernelc
 from repro.dram._reference import reference_run_phase
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
 from repro.dram.kernel import KernelEngine
-from repro.dram.mixed import steady_state_interleaver
+from repro.dram.mixed import (RowShiftedMapping, interleaved_stream,
+                              steady_state_interleaver)
+from repro.dram.policy import POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -48,11 +53,20 @@ ROUNDS = 3
 
 N = 512
 
+#: Triangle size of the auto-close and mixed kernel-vs-engine grids.
+POLICY_N = 128
 
-def _phase_grid():
+#: Auto-close disciplines compared kernel vs engine.
+AUTO_CLOSE_POLICIES = {
+    "closed-page": ControllerConfig(discipline=POLICY_CLOSED_PAGE),
+    "frfcfs-cap": ControllerConfig(discipline=POLICY_FRFCFS_CAP),
+}
+
+
+def _phase_grid(n=N):
     for config_name in TABLE1_CONFIG_NAMES:
         config = get_config(config_name)
-        space = TriangularIndexSpace(N)
+        space = TriangularIndexSpace(n)
         for mapping in (RowMajorMapping(space, config.geometry),
                         OptimizedMapping(space, config.geometry, prefer_tall=False)):
             for op in (OP_WRITE, OP_READ):
@@ -64,11 +78,11 @@ def _chunks(mapping, op):
             else mapping.read_addresses_array())
 
 
-def _grid(scheduler_class):
+def _grid(scheduler_class, policy=ControllerConfig(), n=N):
     return [
-        scheduler_class(config, ControllerConfig())
+        scheduler_class(config, policy)
         .run(as_workload(_chunks(mapping, op)), op).stats
-        for config, mapping, op in _phase_grid()
+        for config, mapping, op in _phase_grid(n)
     ]
 
 
@@ -160,11 +174,66 @@ def test_kernel_vs_engine_speedup(benchmark):
     assert speedup >= KERNEL_REQUIRED_SPEEDUP
 
 
+def _kernel_vs_engine(benchmark, kernel_side, engine_side, compare):
+    """Bit-identity of the two sides, then (timed runs only) the gate."""
+    if not _kernelc.available():
+        pytest.skip("native kernel unavailable on this host")
+    kernel_out = benchmark.pedantic(kernel_side, rounds=1, iterations=1)
+    assert compare(kernel_out) == compare(engine_side())
+    if benchmark.disabled:  # smoke runs only check for rot, not timing
+        return
+    engine_seconds, kernel_seconds = _interleaved_best((engine_side,
+                                                        kernel_side))
+    speedup = engine_seconds / kernel_seconds
+    benchmark.extra_info["engine_s"] = round(engine_seconds, 3)
+    benchmark.extra_info["kernel_s"] = round(kernel_seconds, 3)
+    benchmark.extra_info["kernel_speedup"] = round(speedup, 2)
+    assert speedup >= KERNEL_REQUIRED_SPEEDUP
+
+
+@pytest.mark.paper_artifact("Policy zoo (batch-advance kernel)")
+@pytest.mark.parametrize("discipline", sorted(AUTO_CLOSE_POLICIES))
+def test_kernel_vs_engine_auto_close(benchmark, discipline):
+    """Every Table I phase at ``POLICY_N`` under an auto-close discipline,
+    native kernel vs general engine: bit-identical, and faster."""
+    policy = AUTO_CLOSE_POLICIES[discipline]
+    benchmark.extra_info["phases"] = 40
+    benchmark.extra_info["n"] = POLICY_N
+    _kernel_vs_engine(
+        benchmark,
+        lambda: _grid(KernelEngine, policy, POLICY_N),
+        lambda: _grid(SchedulingEngine, policy, POLICY_N),
+        compare=lambda stats: stats)
+
+
+@pytest.mark.paper_artifact("steady-state mixed traffic (batch-advance kernel)")
+def test_kernel_vs_engine_mixed_cell(benchmark):
+    """One recorded steady-state mixed cell, native kernel vs general
+    engine: same stats, schedule and direction counters, and faster."""
+    config = get_config("DDR4-3200")
+    mapping = OptimizedMapping(TriangularIndexSpace(POLICY_N),
+                               config.geometry, prefer_tall=False)
+    requests = list(interleaved_stream(
+        mapping, RowShiftedMapping(mapping, mapping.rows_used()), 16))
+    policy = ControllerConfig(record_commands=True)
+
+    def run(scheduler_class):
+        return scheduler_class(config, policy).run(MixedSource(requests))
+
+    def compare(result):
+        return (result.stats, result.commands, result.reads, result.writes,
+                result.turnarounds)
+
+    benchmark.extra_info["requests"] = len(requests)
+    _kernel_vs_engine(benchmark, lambda: run(KernelEngine),
+                      lambda: run(SchedulingEngine), compare)
+
+
 @pytest.mark.paper_artifact("steady-state mixed traffic")
 def test_mixed_steady_state_cell(benchmark):
-    """One steady-state interleaved read/write cell through the engine.
+    """One steady-state interleaved read/write cell, default scheduler.
 
-    Pins the mixed path of the unified core into the benchmark suite:
+    Pins the mixed path into the benchmark suite:
     utilization, turnaround count and the per-direction split land in
     ``extra_info``.
     """

@@ -7,7 +7,10 @@ cycle over the flat int64 state tables and returns to Python only at
 needs draining), so the Python :class:`~repro.dram.refresh.RefreshScheduler`
 is never duplicated: the wrapper in :mod:`repro.dram.kernel` applies
 refresh events on the same arrays the compiled code mutates and
-re-enters the segment.
+re-enters the segment.  The loop carries every rule set of the general
+engine: the auto-close streak cap (closed-page, FR-FCFS-cap) and, for
+mixed sources, the tRTW/tWTR direction-turnaround rules.  It records
+the shared command codes of :mod:`repro.dram.commands` directly.
 
 The object is built from one translation unit with the system C
 compiler at first use (cached per source hash under the user's temp
@@ -15,11 +18,12 @@ directory, override with ``REPRO_KERNELC_CACHE``) and loaded through
 the standard library's ``ctypes``, so it needs no third-party
 package.  A cached object is loaded only from a directory and file
 owned by the current user that nobody else can write; otherwise the
-object is built afresh in a private temporary directory.  Nothing is built or loaded at import time.  Without a
-compiler :func:`load` returns ``None`` and
-:func:`repro.dram.kernel.make_scheduler` picks the general engine; a
-compiler that exists but fails the build also warns once, naming the
-shared-object path and the compiler's last stderr lines.
+object is built afresh in a private temporary directory.  Nothing is
+built or loaded at import time.  Without a compiler :func:`load`
+returns ``None`` and :func:`repro.dram.kernel.make_scheduler` picks
+the general engine; a compiler that exists but fails the build also
+warns once, naming the shared-object path and the compiler's last
+stderr lines.
 
 All arithmetic is exact int64: timestamps in this project stay below
 ``10**15`` picoseconds and the far-future sentinel is ``10**18``, so no
@@ -43,36 +47,35 @@ import warnings
 from shutil import which
 from typing import Callable, Optional
 
+from repro.dram.commands import CODE_ACT, CODE_PRE, CODE_RD, CODE_WR
+
 #: Scalar-slot indices shared with the C side (keep in sync with the
-#: ``S_*`` enum in :data:`SOURCE`).
+#: ``S_*`` enum in :data:`SOURCE`).  ``S_LAST_DIR`` is -1 before the
+#: first CAS of a mixed run, then 1 (read) or 0 (write).
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
- S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT) = range(21)
-N_SCALARS = 21
+ S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
+ S_WRITES, S_TURNAROUNDS, S_LAST_DIR, S_LAST_RD_CMD, S_LAST_WR_DATA_END,
+ S_LAST_WR_BG) = range(28)
+N_SCALARS = 28
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
+#: ``C_CAP`` is the auto-close row-hit streak cap (0 = rows stay open);
+#: ``C_MIXED`` selects the per-request direction column and the
+#: turnaround rules.
 (C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
  C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
- C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
- C_RECORD, C_N, C_REC_CAP) = range(22)
-N_CFG = 22
+ C_IS_READ, C_CL, C_CWL, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
+ C_RECORD, C_N, C_REC_CAP, C_CAP, C_MIXED, C_TRTW, C_TWTR_S,
+ C_TWTR_L) = range(28)
+N_CFG = 28
 
 #: Segment-exit reasons returned by ``run_segment``.
 EXIT_DONE = 0
 EXIT_REFRESH = 1
 EXIT_RECORD_FULL = 2
 EXIT_DEADLOCK = 3
-
-#: Command kinds in the record columns (remapped to the shared command
-#: codes of :mod:`repro.dram.commands` when the kernel wrapper drains
-#: the buffer).
-#: ``REC_REF`` is written by the Python refresh section only; the C
-#: side records ACT/PRE/CAS.
-REC_ACT = 0
-REC_PRE = 1
-REC_CAS = 2
-REC_REF = 3
 
 SOURCE = r"""
 #include <stdint.h>
@@ -83,14 +86,22 @@ SOURCE = r"""
 enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
   S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
   S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
-  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT };
+  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
+  S_WRITES, S_TURNAROUNDS, S_LAST_DIR, S_LAST_RD_CMD, S_LAST_WR_DATA_END,
+  S_LAST_WR_BG };
 
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
-  C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
-  C_RECORD, C_N, C_REC_CAP };
+  C_IS_READ, C_CL, C_CWL, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
+  C_RECORD, C_N, C_REC_CAP, C_CAP, C_MIXED, C_TRTW, C_TWTR_S,
+  C_TWTR_L };
 
-enum { REC_ACT = 0, REC_PRE = 1, REC_CAS = 2 };
+enum { EXIT_DONE, EXIT_REFRESH, EXIT_RECORD_FULL, EXIT_DEADLOCK };
+
+/* Recorded command codes: repro.dram.commands.CODE_OF, substituted
+ * before compiling. */
+enum { CMD_ACT = @CODE_ACT@, CMD_PRE = @CODE_PRE@, CMD_RD = @CODE_RD@,
+  CMD_WR = @CODE_WR@ };
 
 /* Python floor-mod quantization: round v up to the command-clock grid.
  * C's % truncates toward zero; Python's floors, and the issue-slot
@@ -102,6 +113,13 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
     if (r) v += tck - r;
     return v;
 }
+
+#define RECORD(t, code, bank, row, col, id) do { \
+    int64_t *r_ = rec + rec_count * 6; \
+    r_[0] = (t); r_[1] = (code); r_[2] = (bank); \
+    r_[3] = (row); r_[4] = (col); r_[5] = (id); \
+    rec_count++; \
+} while (0)
 
 /* Deferred-activation entries, 5 int64 columns per slot (same fields
  * as the general engine's heap tuples).  The store is an unsorted
@@ -116,13 +134,16 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
 
 /* Every argument is a flat int64 array.  `heap` holds n_banks + 2
  * entries and `commit_idx` n_banks slots (at most one deferred
- * activation per bank), so the loop has no bank-count limit. */
+ * activation per bank), so the loop has no bank-count limit.  `dirs`
+ * (1 = read, 0 = write, by request sequence number) is read only for
+ * mixed runs and `streak` (column accesses since each bank's ACT) only
+ * under an auto-close cap. */
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
-    const int64_t *qseqs, const int64_t *qstart,
+    const int64_t *dirs, const int64_t *qseqs, const int64_t *qstart,
     int64_t *head, int64_t *adm, int64_t *bstate,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
-    int64_t *pre_allowed, int64_t *act_allowed,
+    int64_t *pre_allowed, int64_t *act_allowed, int64_t *streak,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
     int64_t *fresh, int64_t *heap, int64_t *commit_idx, int64_t *rec)
 {
@@ -140,13 +161,20 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t twr = cfg[C_TWR];
     const int64_t trtp = cfg[C_TRTP];
     const int64_t is_read = cfg[C_IS_READ];
-    const int64_t latency = cfg[C_LATENCY];
+    const int64_t cl = cfg[C_CL];
+    const int64_t cwl = cfg[C_CWL];
+    const int64_t latency = is_read ? cl : cwl;
     const int64_t burst = cfg[C_BURST];
     const int64_t queue_depth = cfg[C_QUEUE_DEPTH];
     const int64_t per_bank_depth = cfg[C_PER_BANK_DEPTH];
     const int64_t do_record = cfg[C_RECORD];
     const int64_t nreq = cfg[C_N];
     const int64_t rec_cap = cfg[C_REC_CAP];
+    const int64_t cap = cfg[C_CAP];
+    const int64_t mixed = cfg[C_MIXED];
+    const int64_t trtw = cfg[C_TRTW];
+    const int64_t twtr_s = cfg[C_TWTR_S];
+    const int64_t twtr_l = cfg[C_TWTR_L];
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -169,14 +197,25 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t heap_size = sc[S_HEAP_SIZE];
     int64_t fresh_count = sc[S_FRESH_COUNT];
     int64_t rec_count = sc[S_REC_COUNT];
+    int64_t reads = sc[S_READS];
+    int64_t writes = sc[S_WRITES];
+    int64_t turnarounds = sc[S_TURNAROUNDS];
+    int64_t last_dir = sc[S_LAST_DIR];
+    int64_t last_rd_cmd = sc[S_LAST_RD_CMD];
+    int64_t last_wr_data_end = sc[S_LAST_WR_DATA_END];
+    int64_t last_wr_bg = sc[S_LAST_WR_BG];
 
-    int64_t exit_reason = EXIT_DONE_SENTINEL;
+    int64_t exit_reason = EXIT_DONE;
 
     for (;;) {
-        if (!queued) { exit_reason = 0; break; }
-        if (have_deadline && last_cas >= deadline) { exit_reason = 1; break; }
+        if (!queued) { exit_reason = EXIT_DONE; break; }
+        if (have_deadline && last_cas >= deadline) {
+            exit_reason = EXIT_REFRESH; break;
+        }
+        /* One iteration records at most 2 * n_banks + 2 commands: a
+         * PRE/ACT pair per committed bank, the CAS and its auto-PRE. */
         if (do_record && rec_cap - rec_count < 2 * n_banks + 2) {
-            exit_reason = 2; break;
+            exit_reason = EXIT_RECORD_FULL; break;
         }
 
         /* ---- eager per-bank row management ------------------------- */
@@ -264,12 +303,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                         empties++;
                     } else {
                         misses++; pres++;
-                        if (do_record) {
-                            int64_t *r = rec + rec_count * 6;
-                            r[0] = t_pre; r[1] = REC_PRE; r[2] = b;
-                            r[3] = -1; r[4] = -1; r[5] = -1;
-                            rec_count++;
-                        }
+                        if (do_record) RECORD(t_pre, CMD_PRE, b, -1, -1, -1);
                     }
                     int64_t bg = bg_of[b];
                     int64_t t_act = act_ready;
@@ -289,16 +323,12 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                     last_act = t_act;
                     last_act_bg = bg;
                     acts++;
-                    if (do_record) {
-                        int64_t *r = rec + rec_count * 6;
-                        r[0] = t_act; r[1] = REC_ACT; r[2] = b;
-                        r[3] = row; r[4] = -1; r[5] = -1;
-                        rec_count++;
-                    }
+                    if (do_record) RECORD(t_act, CMD_ACT, b, row, -1, -1);
                     open_row[b] = row;
                     act_time[b] = t_act;
                     cas_allowed[b] = t_act + trcd;
                     pre_allowed[b] = t_act + tras;
+                    streak[b] = 0;
                     bstate[b] = 2;
                     ready_count++;
                 }
@@ -320,70 +350,137 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         }
 
         /* ---- CAS arbitration: min-reductions over the ready heads -- */
-        int64_t bound = last_cas + tccd_s;
-        {
-            int64_t t = bus_free - latency;
-            if (t > bound) bound = t;
-        }
-        if (quant) bound = quantize(bound, tck);
         int64_t chosen = -1;
         int64_t t_cas = 0;
-        int64_t best_seq = FAR_FUTURE;
-        int64_t best_pb = FAR_FUTURE;
-        int64_t best_pb_seq = FAR_FUTURE;
-        int64_t best_pb_bank = -1;
-        for (int64_t b = 0; b < n_banks; b++) {
-            if (bstate[b] != 2) continue;
-            int64_t sq = qseqs[qstart[b] + head[b]];
-            int64_t pb = cas_allowed[b];
-            int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
-            if (t > pb) pb = t;
-            if (pb <= bound) {
-                if (sq < best_seq) { best_seq = sq; chosen = b; }
-            } else if (pb < best_pb ||
-                       (pb == best_pb && sq < best_pb_seq)) {
-                best_pb = pb; best_pb_seq = sq; best_pb_bank = b;
+        int64_t req_read = is_read;
+        if (!mixed) {
+            /* Homogeneous: the oldest head achieving the global bound
+             * issues at the bound, else the strictly earliest slot
+             * (ties to the oldest) at its own slot. */
+            int64_t bound = last_cas + tccd_s;
+            {
+                int64_t t = bus_free - latency;
+                if (t > bound) bound = t;
+            }
+            if (quant) bound = quantize(bound, tck);
+            int64_t best_seq = FAR_FUTURE;
+            int64_t best_pb = FAR_FUTURE;
+            int64_t best_pb_seq = FAR_FUTURE;
+            int64_t best_pb_bank = -1;
+            for (int64_t b = 0; b < n_banks; b++) {
+                if (bstate[b] != 2) continue;
+                int64_t sq = qseqs[qstart[b] + head[b]];
+                int64_t pb = cas_allowed[b];
+                int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
+                if (t > pb) pb = t;
+                if (pb <= bound) {
+                    if (sq < best_seq) { best_seq = sq; chosen = b; }
+                } else if (pb < best_pb ||
+                           (pb == best_pb && sq < best_pb_seq)) {
+                    best_pb = pb; best_pb_seq = sq; best_pb_bank = b;
+                }
+            }
+            if (chosen >= 0) {
+                t_cas = bound;
+            } else if (best_pb_bank >= 0) {
+                chosen = best_pb_bank;
+                t_cas = best_pb;
+                if (quant) t_cas = quantize(t_cas, tck);
+            }
+        } else {
+            /* Mixed: every head's quantized slot under the turnaround
+             * rules (tRTW after the last read command, tWTR_S/L after
+             * the last write data); the lexicographic minimum of
+             * (slot, seq) wins -- the general engine's oldest-first
+             * walk keeps the first strictly-earliest slot. */
+            int64_t best_seq = FAR_FUTURE;
+            t_cas = FAR_FUTURE;
+            for (int64_t b = 0; b < n_banks; b++) {
+                if (bstate[b] != 2) continue;
+                int64_t sq = qseqs[qstart[b] + head[b]];
+                int64_t b_read = dirs[sq];
+                int64_t bg = bg_of[b];
+                int64_t slot = cas_allowed[b];
+                int64_t t = last_cas + tccd_s;
+                if (t > slot) slot = t;
+                t = last_cas_bg[bg] + tccd_l;
+                if (t > slot) slot = t;
+                t = bus_free - (b_read ? cl : cwl);
+                if (t > slot) slot = t;
+                if (b_read) {
+                    if (last_wr_data_end != FAR_PAST) {
+                        t = last_wr_data_end
+                            + (bg == last_wr_bg ? twtr_l : twtr_s);
+                        if (t > slot) slot = t;
+                    }
+                } else if (last_rd_cmd != FAR_PAST) {
+                    t = last_rd_cmd + trtw;
+                    if (t > slot) slot = t;
+                }
+                if (quant) slot = quantize(slot, tck);
+                if (slot < t_cas || (slot == t_cas && sq < best_seq)) {
+                    t_cas = slot; best_seq = sq; chosen = b;
+                    req_read = b_read;
+                }
             }
         }
-        if (chosen >= 0) {
-            t_cas = bound;
-        } else if (best_pb_bank >= 0) {
-            chosen = best_pb_bank;
-            t_cas = best_pb;
-            if (quant) t_cas = quantize(t_cas, tck);
-        } else {
-            exit_reason = 3; break;
-        }
+        if (chosen < 0) { exit_reason = EXIT_DEADLOCK; break; }
 
         /* ---- pop, timeline update, admission ----------------------- */
         int64_t hidx = qstart[chosen] + head[chosen];
         int64_t p_seq = qseqs[hidx];
         head[chosen]++;
         queued--;
+        int64_t closing = 0;
+        if (cap) {
+            int64_t s = streak[chosen] + 1;
+            if (s >= cap) { closing = 1; s = 0; }
+            streak[chosen] = s;
+        }
         if (adm[chosen] == head[chosen]) {
             bstate[chosen] = 0; ready_count--;
-        } else if (rows[qseqs[hidx + 1]] == open_row[chosen]) {
+        } else if (!closing && rows[qseqs[hidx + 1]] == open_row[chosen]) {
             hits++;
         } else {
             bstate[chosen] = 1; ready_count--;
             fresh[fresh_count++] = chosen;
         }
-        last_cas = t_cas;
-        last_cas_bg[bg_of[chosen]] = t_cas;
         {
-            int64_t data_end = t_cas + latency + burst;
+            int64_t bg = bg_of[chosen];
+            int64_t data_end = t_cas + (req_read ? cl : cwl) + burst;
+            last_cas = t_cas;
+            last_cas_bg[bg] = t_cas;
             bus_free = data_end;
             last_data_end = data_end;
-            int64_t t = is_read ? t_cas + trtp : data_end + twr;
+            if (mixed) {
+                if (last_dir >= 0 && last_dir != req_read) turnarounds++;
+                last_dir = req_read;
+                if (req_read) {
+                    reads++;
+                    last_rd_cmd = t_cas;
+                } else {
+                    writes++;
+                    last_wr_data_end = data_end;
+                    last_wr_bg = bg;
+                }
+            }
+            int64_t t = req_read ? t_cas + trtp : data_end + twr;
             if (t > pre_allowed[chosen]) pre_allowed[chosen] = t;
         }
-        if (do_record) {
-            int64_t *r = rec + rec_count * 6;
-            r[0] = t_cas; r[1] = REC_CAS; r[2] = chosen;
-            r[3] = rows[p_seq]; r[4] = cols[p_seq]; r[5] = n_requests;
-            rec_count++;
-        }
+        if (do_record)
+            RECORD(t_cas, req_read ? CMD_RD : CMD_WR, chosen, rows[p_seq],
+                   cols[p_seq], n_requests);
         n_requests++;
+        if (closing) {
+            /* Auto-precharge at the precharge-ready time (tRAS / tRTP /
+             * tWR already folded into pre_allowed above). */
+            int64_t t_pre = pre_allowed[chosen];
+            if (quant) t_pre = quantize(t_pre, tck);
+            if (do_record) RECORD(t_pre, CMD_PRE, chosen, -1, -1, -1);
+            pres++;
+            open_row[chosen] = -1;
+            act_allowed[chosen] = t_pre + trp;
+        }
         if (pos < nreq && queued == queue_depth - 1) {
             int64_t b = banks[pos];
             if (adm[b] - head[b] < per_bank_depth) {
@@ -425,16 +522,22 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     sc[S_HEAP_SIZE] = heap_size;
     sc[S_FRESH_COUNT] = fresh_count;
     sc[S_REC_COUNT] = rec_count;
+    sc[S_READS] = reads;
+    sc[S_WRITES] = writes;
+    sc[S_TURNAROUNDS] = turnarounds;
+    sc[S_LAST_DIR] = last_dir;
+    sc[S_LAST_RD_CMD] = last_rd_cmd;
+    sc[S_LAST_WR_DATA_END] = last_wr_data_end;
+    sc[S_LAST_WR_BG] = last_wr_bg;
     return exit_reason;
 }
 """
-
-# `EXIT_DONE_SENTINEL` keeps the variable initialized without a magic
-# constant appearing twice; substitute it before compiling.
-SOURCE = SOURCE.replace("EXIT_DONE_SENTINEL", "0")
+for _placeholder, _code in (("@CODE_ACT@", CODE_ACT), ("@CODE_PRE@", CODE_PRE),
+                            ("@CODE_RD@", CODE_RD), ("@CODE_WR@", CODE_WR)):
+    SOURCE = SOURCE.replace(_placeholder, str(_code))
 
 #: Arguments of ``run_segment``, every one an ``int64_t *``.
-N_ARGS = 22
+N_ARGS = 24
 
 #: Compiler stderr lines quoted by the failed-build warning.
 _STDERR_TAIL_LINES = 8

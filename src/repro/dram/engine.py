@@ -172,15 +172,33 @@ class ChunkSource(WorkloadSource):
 
 
 class MixedSource(WorkloadSource):
-    """``(is_read, bank, row, column)`` tuples — mixed traffic."""
+    """``(is_read, bank, row, column)`` tuples — mixed traffic.
+
+    :meth:`from_columns` builds the same source from four columns, which
+    pass to the engine as one batch without a tuple per request.
+    """
 
     mixed = True
 
     def __init__(self, requests: Iterable[Tuple[bool, int, int, int]]) -> None:
         self._requests = requests
+        self._columns: Optional[Batch] = None
+
+    @classmethod
+    def from_columns(cls, is_read: Sequence[bool], banks: Sequence[int],
+                     rows: Sequence[int],
+                     columns: Sequence[int]) -> "MixedSource":
+        """The mixed stream given as equal-length columns, in order."""
+        source = cls(())
+        source._columns = (banks, rows, columns, is_read)
+        return source
 
     def batches(self) -> Iterator[Batch]:
-        """Buffer the mixed stream, splitting off the direction column."""
+        """The columns as one batch, or the tuple stream buffered into
+        batches with the direction column split off."""
+        if self._columns is not None:
+            yield self._columns
+            return
         source = iter(self._requests)
         while True:
             part = list(islice(source, _STREAM_BATCH))

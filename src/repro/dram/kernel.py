@@ -16,8 +16,8 @@ positional delete) and every arbitration walks the ready heads
 oldest-first.  On the Table I phase workload those two account for
 most of the wall clock.
 
-:class:`KernelEngine` removes both costs for homogeneous phases while
-producing **bit-identical** schedules:
+:class:`KernelEngine` removes both costs for every source and
+discipline while producing **bit-identical** schedules:
 
 * **columnar intake** — the whole request stream is materialized up
   front into flat NumPy int64 columns, validated and partitioned per
@@ -31,13 +31,20 @@ producing **bit-identical** schedules:
   the general engine would leave it;
 * **min-reduction arbitration** — the sorted ready list and the
   oldest-first walk are replaced by one unsorted pass over the bank
-  columns computing the walk's outcome directly: the oldest head whose
-  earliest slot achieves the global bound
+  columns computing the walk's outcome directly.  Homogeneous: the
+  oldest head whose earliest slot achieves the global bound
   (``max(last_cas + tCCD_S, bus_free - latency)``, quantized) wins at
   the bound, otherwise the head with the strictly earliest slot (ties
-  to the oldest) wins at its own slot.  This is exactly the general
-  engine's decision rule, reached without maintaining any ordered
-  structure per pop;
+  to the oldest) wins at its own slot.  Mixed: each head's quantized
+  slot also charges CL/CWL by its direction and the turnaround rules
+  (tRTW after the last read command, tWTR_S/L after the last write
+  data), and the lexicographic minimum of (slot, sequence number)
+  wins.  Either is exactly the general engine's decision rule, reached
+  without maintaining any ordered structure per pop;
+* **auto-close** — closed-page (cap 1) and FR-FCFS-cap (cap ``k``)
+  count column accesses per bank since its ACT; the CAS reaching the
+  cap closes the row with a PRE at its precharge-ready time, in the
+  general engine's order;
 * **compiled segment loop** — the eval / commit / arbitrate / pop /
   admit cycle runs as a single compiled loop over the same int64
   tables, returning to Python only at refresh boundaries, so the
@@ -50,17 +57,13 @@ empties park in the same deferred-activation structure with fixed
 order once the bus frontier reaches them, and charge tRRD_S/L and the
 tFAW ring identically.  Refresh, intake windowing (``queue_depth`` /
 ``per_bank_depth``) and command recording are likewise ports, so
-``PhaseStats``, ``EnergyTally``, ``command_counts`` and recorded
-command tapes all match the general engine exactly — proven by the
-differential batteries in ``tests/dram/test_kernel_differential.py``
-across random scenarios and the full Table I grid.
-
-Some inputs have no kernel fast path, and :meth:`KernelEngine.run`
-hands them to the wrapped general engine: **mixed sources**
-(per-request directions, turnaround rules) and the auto-close
-disciplines **closed-page** and **FR-FCFS-cap**, whose auto-precharge
-invalidates the kernel's row-hit precompute.  Results are identical by
-construction.
+``PhaseStats``, ``EnergyTally``, ``command_counts``, the direction
+counters and recorded command tapes all match the general engine
+exactly — proven by the differential batteries in
+``tests/dram/test_kernel_differential.py`` across random scenarios,
+every discipline, mixed sources and the full Table I grid.
+:meth:`KernelEngine.run` never hands a phase to the general engine it
+wraps; that engine only holds the shared per-bank state.
 
 One intake difference is deliberate: the general engine validates bank
 indices lazily, batch by batch, so an invalid request deep in a stream
@@ -71,15 +74,15 @@ raises before mutating any state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.dram import _kernelc
 from repro.dram.bank import BankSnapshot
-from repro.dram.commands import (CODE_ACT, CODE_PRE, CODE_RD, CODE_REF_ALL,
-                                 CODE_REF_BANK, CODE_WR, CommandType,
-                                 TapeBuilder)
+from repro.dram.commands import (CODE_PRE, CODE_REF_ALL, CODE_REF_BANK,
+                                 CommandType, TapeBuilder)
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
                                _PartitionedSource)
@@ -127,12 +130,11 @@ class KernelEngine:
     :class:`~repro.dram.engine.SchedulingEngine` (``run`` /
     ``bank_snapshot`` and warm per-bank state across runs) and wraps a
     general engine internally: the per-bank timestamp table and the
-    refresh scheduler are shared **by reference**, so a phase the
-    kernel hands to the general engine (see :meth:`run`) and the next
-    native phase see exactly the warm rows either would have left
-    behind.  Build one through :func:`make_scheduler`; constructing it
-    directly raises :class:`RuntimeError` when the native object does
-    not load.
+    refresh scheduler are shared **by reference**, so a phase run on
+    the wrapped engine and the next native phase see exactly the warm
+    rows either would have left behind.  Build one through
+    :func:`make_scheduler`; constructing it directly raises
+    :class:`RuntimeError` when the native object does not load.
 
     Args:
         config: DRAM configuration (geometry + timing + refresh mode).
@@ -164,19 +166,19 @@ class KernelEngine:
         return self._general.bank_snapshot(bank)
 
     def _materialize(
-        self, source: WorkloadSource
-    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]",
-               "np.ndarray[Any, Any]"]:
+            self, source: WorkloadSource) -> Tuple[NDArray[np.int64], ...]:
         """Drain ``source`` into flat int64 columns, validating shape.
 
-        Batch boundaries are invisible to scheduling, so concatenating
-        them up front is observationally equivalent to the general
-        engine's incremental loads for any valid stream.
+        Returns ``(banks, rows, columns, directions)``; directions
+        (1 = read, 0 = write) are filled for mixed sources only and are
+        an empty column, which the loop never reads, otherwise.  Batch boundaries are invisible to
+        scheduling, so concatenating them up front is observationally
+        equivalent to the general engine's incremental loads for any
+        valid stream.
         """
-        banks_parts: List["np.ndarray[Any, Any]"] = []
-        rows_parts: List["np.ndarray[Any, Any]"] = []
-        cols_parts: List["np.ndarray[Any, Any]"] = []
-        for banks_col, rows_col, cols_col, _dirs in source.batches():
+        mixed = source.mixed
+        parts: Tuple[List[NDArray[np.int64]], ...] = ([], [], [], [])
+        for banks_col, rows_col, cols_col, dirs_col in source.batches():
             m = len(banks_col)
             if not m:
                 continue
@@ -185,41 +187,29 @@ class KernelEngine:
                     f"request chunk columns disagree in length: "
                     f"{m} banks, {len(rows_col)} rows, {len(cols_col)} columns"
                 )
-            banks_parts.append(np.ascontiguousarray(banks_col, dtype=np.int64))
-            rows_parts.append(np.ascontiguousarray(rows_col, dtype=np.int64))
-            cols_parts.append(np.ascontiguousarray(cols_col, dtype=np.int64))
-        if not banks_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        if len(banks_parts) == 1:
-            return banks_parts[0], rows_parts[0], cols_parts[0]
-        return (np.concatenate(banks_parts), np.concatenate(rows_parts),
-                np.concatenate(cols_parts))
+            columns = [banks_col, rows_col, cols_col]
+            if mixed:
+                if dirs_col is None or len(dirs_col) != m:
+                    raise ValueError(
+                        f"mixed request chunk needs {m} directions, got "
+                        f"{'none' if dirs_col is None else len(dirs_col)}")
+                columns.append(dirs_col)
+            for part, column in zip(parts, columns):
+                part.append(np.ascontiguousarray(column, dtype=np.int64))
+        return tuple(
+            np.empty(0, dtype=np.int64) if not part
+            else part[0] if len(part) == 1 else np.concatenate(part)
+            for part in parts)
 
     def run(self, source: WorkloadSource, op: str = OP_READ) -> EngineResult:
         """Schedule one workload source to completion.
 
         Same contract as
-        :meth:`repro.dram.engine.SchedulingEngine.run`.  Homogeneous
-        open-page and bank-partition phases take the native loop (bank
-        partitioning is an intake remap, so the kernel's row-hit
-        precompute stays valid on the remapped stream).  Mixed sources
-        (turnaround rules) and the auto-close disciplines closed-page
-        and FR-FCFS-cap run on the wrapped general engine, with
-        bit-identical results.
-        """
-        if op not in (OP_READ, OP_WRITE):
-            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
-        discipline = self.policy.discipline
-        if source.mixed or discipline in (POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP):
-            return self._general.run(source, op)
-        if discipline == POLICY_BANK_PARTITION:
-            partition_banks(self._banks)  # even bank count required
-            source = _PartitionedSource(source, self._banks, op == OP_READ)
-        return self._run_native(source, op)
-
-    def _run_native(self, source: WorkloadSource, op: str) -> EngineResult:
-        """Homogeneous run through the compiled segment loop.
+        :meth:`repro.dram.engine.SchedulingEngine.run`; every
+        discipline and every source shape runs in the compiled segment
+        loop.  Bank partitioning is an intake remap; the auto-close cap
+        (closed-page, FR-FCFS-cap) and, for mixed sources, the
+        turnaround rules are rule sets of the loop itself.
 
         The C side owns the eval / commit / arbitrate / pop / admit
         cycle over flat int64 state tables and returns control at
@@ -229,6 +219,19 @@ class KernelEngine:
         written back on exit, so a later phase on either engine sees
         the same warm bank state.
         """
+        if op not in (OP_READ, OP_WRITE):
+            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+        discipline = self.policy.discipline
+        if discipline == POLICY_BANK_PARTITION:
+            partition_banks(self._banks)  # even bank count required
+            source = _PartitionedSource(source, self._banks, op == OP_READ)
+        if discipline == POLICY_CLOSED_PAGE:
+            cap = 1
+        elif discipline == POLICY_FRFCFS_CAP:
+            cap = self.policy.cap
+        else:
+            cap = 0
+        mixed = source.mixed
         run_segment = _kernelc.load()
         assert run_segment is not None  # checked in __init__
         config = self.config
@@ -238,14 +241,13 @@ class KernelEngine:
         tck = timing.tck if burst % timing.tck == 0 else 1
         quant = tck > 1
         is_read = op == OP_READ
-        latency = timing.cl if is_read else timing.cwl
         n_banks = self._banks
         trp = timing.trp
         record = policy.record_commands
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
 
-        banks_arr, rows_arr, cols_arr = self._materialize(source)
+        banks_arr, rows_arr, cols_arr, dirs_arr = self._materialize(source)
         n = len(banks_arr)
         if n:
             bad = (banks_arr < 0) | (banks_arr >= n_banks)
@@ -270,6 +272,7 @@ class KernelEngine:
         cas_allowed = np.array(self._cas_allowed, dtype=np.int64)
         pre_allowed = np.array(self._pre_allowed, dtype=np.int64)
         act_allowed = np.array(self._act_allowed, dtype=np.int64)
+        streak = np.zeros(n_banks, dtype=np.int64)
         bg_of = np.array([b % self._bank_groups for b in range(n_banks)],
                          dtype=np.int64)
         last_cas_bg = np.full(self._bank_groups, _FAR_PAST, dtype=np.int64)
@@ -277,7 +280,7 @@ class KernelEngine:
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
         commit = np.zeros(n_banks + 2, dtype=np.int64)
-        # Headroom: one segment iteration records at most 2 * n_banks + 1
+        # Headroom: one segment iteration records at most 2 * n_banks + 2
         # commands, one refresh event at most n_banks + 1.
         rec_cap = (_TAPE_ROWS + 2 * n_banks + 2) if record else 1
         rec = np.zeros(rec_cap * 6, dtype=np.int64)
@@ -286,6 +289,10 @@ class KernelEngine:
         sc[_kernelc.S_LAST_CAS] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT_BG] = -1
+        sc[_kernelc.S_LAST_DIR] = -1
+        sc[_kernelc.S_LAST_RD_CMD] = _FAR_PAST
+        sc[_kernelc.S_LAST_WR_DATA_END] = _FAR_PAST
+        sc[_kernelc.S_LAST_WR_BG] = -1
 
         cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
         cfg[_kernelc.C_N_BANKS] = n_banks
@@ -303,13 +310,19 @@ class KernelEngine:
         cfg[_kernelc.C_TWR] = timing.twr
         cfg[_kernelc.C_TRTP] = timing.trtp
         cfg[_kernelc.C_IS_READ] = 1 if is_read else 0
-        cfg[_kernelc.C_LATENCY] = latency
+        cfg[_kernelc.C_CL] = timing.cl
+        cfg[_kernelc.C_CWL] = timing.cwl
         cfg[_kernelc.C_BURST] = burst
         cfg[_kernelc.C_QUEUE_DEPTH] = policy.queue_depth
         cfg[_kernelc.C_PER_BANK_DEPTH] = policy.per_bank_depth
         cfg[_kernelc.C_RECORD] = 1 if record else 0
         cfg[_kernelc.C_N] = n
         cfg[_kernelc.C_REC_CAP] = rec_cap
+        cfg[_kernelc.C_CAP] = cap
+        cfg[_kernelc.C_MIXED] = 1 if mixed else 0
+        cfg[_kernelc.C_TRTW] = timing.trtw
+        cfg[_kernelc.C_TWTR_S] = timing.twtr_s
+        cfg[_kernelc.C_TWTR_L] = timing.twtr_l
 
         # Initial intake (the general engine's intake(), on the arrays).
         banks_head: List[int] = banks_arr[
@@ -334,27 +347,18 @@ class KernelEngine:
         # Every argument is a C-contiguous int64 array that stays alive
         # for the whole run.
         args = [a.ctypes.data for a in (
-            cfg, sc, banks_arr, rows_arr, cols_arr, qseqs, qstart, head,
-            adm, bstate, open_arr, act_time, cas_allowed, pre_allowed,
-            act_allowed, bg_of, last_cas_bg, faw_ring, fresh, heap,
+            cfg, sc, banks_arr, rows_arr, cols_arr, dirs_arr, qseqs, qstart,
+            head, adm, bstate, open_arr, act_time, cas_allowed, pre_allowed,
+            act_allowed, streak, bg_of, last_cas_bg, faw_ring, fresh, heap,
             commit, rec)]
 
         tape = TapeBuilder()
-        # Kernel record kinds -> canonical command codes; the CAS and
-        # refresh kinds resolve by phase direction and refresh mode.
-        canonical = np.zeros(4, dtype=np.int64)
-        canonical[_kernelc.REC_ACT] = CODE_ACT
-        canonical[_kernelc.REC_PRE] = CODE_PRE
-        canonical[_kernelc.REC_CAS] = CODE_RD if is_read else CODE_WR
-        canonical[_kernelc.REC_REF] = (CODE_REF_ALL if all_bank_refresh
-                                       else CODE_REF_BANK)
+        ref_code = CODE_REF_ALL if all_bank_refresh else CODE_REF_BANK
 
         def drain_tape(rec_count: int) -> int:
             """Move the first ``rec_count`` record rows out; the new count."""
             if rec_count:
-                rows = rec[:rec_count * 6].copy()
-                rows[1::6] = canonical[rows[1::6]]
-                tape.add_rows(rows)
+                tape.add_rows(rec[:rec_count * 6].copy())
             return 0
 
         refs_total = 0
@@ -395,7 +399,7 @@ class KernelEngine:
                                 t_pre += tck - remainder
                         if record:
                             rec[rec_count * 6:rec_count * 6 + 6] = (
-                                t_pre, _kernelc.REC_PRE, b, -1, -1, -1)
+                                t_pre, CODE_PRE, b, -1, -1, -1)
                             rec_count += 1
                         pres += 1
                         open_arr[b] = -1
@@ -418,7 +422,7 @@ class KernelEngine:
                 refs_total += 1
                 if record:
                     rec[rec_count * 6:rec_count * 6 + 6] = (
-                        ref_time, _kernelc.REC_REF,
+                        ref_time, ref_code,
                         -1 if all_bank_refresh else event.banks[0],
                         -1, -1, -1)
                     rec_count += 1
@@ -464,17 +468,36 @@ class KernelEngine:
         stats.refreshes = refs
         stats.data_time_ps = n_requests * burst
         stats.makespan_ps = last_data_end
-        reads = n_requests if is_read else 0
-        writes = 0 if is_read else n_requests
         ref_key = (CommandType.REF_ALL if all_bank_refresh
                    else CommandType.REF_BANK).value
-        stats.command_counts = {
-            CommandType.ACT.value: acts,
-            CommandType.PRE.value: pres,
-            (CommandType.RD if is_read else CommandType.WR).value: n_requests,
-            ref_key: refs,
-        }
+        if mixed:
+            reads = int(sc[_kernelc.S_READS])
+            writes = int(sc[_kernelc.S_WRITES])
+            turnarounds = int(sc[_kernelc.S_TURNAROUNDS])
+            # The general engine's dict: a CAS key only for directions
+            # that occurred, after the REF key.
+            counts = {
+                CommandType.ACT.value: acts,
+                CommandType.PRE.value: pres,
+                ref_key: refs,
+            }
+            if reads:
+                counts[CommandType.RD.value] = reads
+            if writes:
+                counts[CommandType.WR.value] = writes
+            stats.command_counts = counts
+        else:
+            reads = n_requests if is_read else 0
+            writes = 0 if is_read else n_requests
+            turnarounds = 0
+            stats.command_counts = {
+                CommandType.ACT.value: acts,
+                CommandType.PRE.value: pres,
+                (CommandType.RD if is_read else CommandType.WR).value:
+                    n_requests,
+                ref_key: refs,
+            }
         stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
                                          ref=refs, makespan_ps=last_data_end)
         return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=0)
+                            writes=writes, turnarounds=turnarounds)

@@ -46,11 +46,12 @@ discipline's schedules against the independent
 :class:`~repro.dram.trace.TraceChecker` with zero violations.
 
 Which scheduler runs what: the native batch-advance kernel
-(:mod:`repro.dram.kernel`) runs open-page and bank partitioning in its
-own loop (partitioning is an intake remap, invisible to its arbiter);
-closed-page and FR-FCFS-cap invalidate the kernel's precomputed
-row-hit table, so the kernel hands those phases to the general engine
-it wraps.  The schedules are identical either way.
+(:mod:`repro.dram.kernel`) runs every discipline in its compiled loop.
+Bank partitioning is an intake remap, invisible to its arbiter;
+closed-page and FR-FCFS-cap set the loop's auto-close cap (1 and
+``cap``), a per-bank streak counter that closes the row on the CAS
+reaching it, exactly as the general engine does.  The schedules are
+identical on either scheduler.
 """
 
 from __future__ import annotations

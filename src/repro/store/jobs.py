@@ -5,10 +5,13 @@ identity is content-addressed — the job id is the store key of its
 normalized grid specification — so submitting the same grid twice
 yields the same job, and "resubmit after a crash" is indistinguishable
 from "resume".  No timestamps, counters or other mutable bookkeeping
-exist anywhere: progress is derived by counting the per-cell results
+are persisted: progress is derived by counting the per-cell results
 the campaign engine has already persisted in the store, which makes the
 engine correct across interruptions, server restarts and concurrent
-submissions by construction.
+submissions by construction.  The one in-memory record is the
+exception summary of a job whose background run raised, reported as
+``"failed"`` by :meth:`JobEngine.status` until the job is started
+again.
 
 The execution path is exactly the CLI's: cells run through
 :func:`repro.system.campaign.run_campaign` with the shared
@@ -171,6 +174,7 @@ class JobEngine:
         self.store = store
         self.jobs = jobs
         self._threads: Dict[str, threading.Thread] = {}
+        self._failures: Dict[str, str] = {}
         self._lock = threading.Lock()
 
     def submit(self, spec: JSONDict) -> JobRecord:
@@ -219,8 +223,9 @@ class JobEngine:
                 return False
             if self.completed(record) >= len(record.cells):
                 return False
-            thread = threading.Thread(target=self.run, args=(record,),
-                                      daemon=True)
+            self._failures.pop(record.job_id, None)
+            thread = threading.Thread(target=self._run_in_thread,
+                                      args=(record,), daemon=True)
             self._threads[record.job_id] = thread
             thread.start()
             return True
@@ -237,6 +242,17 @@ class JobEngine:
         return run_campaign(list(record.cells), jobs=self.jobs,
                             store=self.store, resume=True)
 
+    def _run_in_thread(self, record: JobRecord) -> None:
+        """The worker-thread body: :meth:`run`, keeping a failure's
+        summary for :meth:`status` (a thread's exception reaches no
+        caller otherwise)."""
+        try:
+            self.run(record)
+        except Exception as error:
+            with self._lock:
+                self._failures[record.job_id] = (
+                    f"{type(error).__name__}: {error}")
+
     def completed(self, record: JobRecord) -> int:
         """Cells of the job that already have a persisted result."""
         return self.store.campaign_progress(list(record.cells))
@@ -247,10 +263,14 @@ class JobEngine:
         return thread is not None and thread.is_alive()
 
     def status(self, record: JobRecord) -> JSONDict:
-        """Progress snapshot of a job (the ``GET /jobs/<id>`` body)."""
+        """Progress snapshot of a job (the ``GET /jobs/<id>`` body).
+
+        A job whose last background run raised also carries
+        ``"failed": "<Type>: <message>"``; starting it again clears it.
+        """
         completed = self.completed(record)
         total = len(record.cells)
-        return {
+        status: JSONDict = {
             "job": record.job_id,
             "total": total,
             "completed": completed,
@@ -258,6 +278,10 @@ class JobEngine:
             "running": self.running(record),
             "spec": record.spec,
         }
+        failure = self._failures.get(record.job_id)
+        if failure is not None:
+            status["failed"] = failure
+        return status
 
     def results(self, record: JobRecord) -> List[Optional[CellResult]]:
         """Per-cell results in grid order (``None`` = not finished yet).

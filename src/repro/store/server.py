@@ -11,14 +11,16 @@ Routes::
     POST /jobs                 submit a grid spec (JSON body, {} = the
                                default 162-cell campaign grid) —
                                idempotent, starts/resumes execution
-    GET  /jobs/<id>            progress snapshot of one job
+    GET  /jobs/<id>            progress snapshot of one job ("failed":
+                               "<Type>: <message>" once its run raised)
     GET  /jobs/<id>/results    incremental per-cell results (completed
                                cells so far, in grid order)
     GET  /jobs/<id>/table      the finished campaign report, text/plain,
                                byte-identical to ``repro campaign
                                --no-chart`` (409 until the job is done)
 
-All state lives in the store: killing the server loses nothing, and a
+All results live in the store: killing the server loses nothing (only
+a failed run's summary is held in memory), and a
 restarted server resumes any unfinished job on resubmission of its
 spec (same content-addressed id).
 """

@@ -21,9 +21,9 @@ Design rules mirrored from the sweep engine:
 * each cell derives its RNG from its own seed, so results are
   bit-identical for any worker count (``--jobs`` must never perturb the
   statistics — regression-tested);
-* the pool is an optimization, never a requirement: restricted
-  environments silently fall back to the serial path with identical
-  results.
+* the pool is an optimization, never a requirement: where worker
+  processes cannot be spawned the cells run serially with identical
+  results; a cell that fails on the pool is raised, not re-run.
 
 Campaigns can be long; results persist in the content-addressed
 :class:`repro.store.store.ResultStore` (``store`` / ``cache_dir``), one
@@ -39,8 +39,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -59,7 +57,7 @@ from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.system.downlink import OpticalDownlink
-from repro.system.parallel import resolve_jobs
+from repro.system.parallel import pooled, resolve_jobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
     from repro.store.store import ResultStore
@@ -380,17 +378,14 @@ def run_campaign(
             store.store_campaign(result)
 
     if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                ordered = pool.map(
-                    evaluate_cell, [cell_list[index] for index in pending])
+        with pooled(evaluate_cell, [cell_list[index] for index in pending],
+                    workers) as ordered:
+            if ordered is not None:
                 for index, result in zip(pending, ordered):
                     record(index, result)
-        except (OSError, BrokenProcessPool, PermissionError):
-            pass  # fall through to the serial path for whatever is left
+                pending = []
     for index in pending:
-        if results[index] is None:
-            record(index, evaluate_cell(cell_list[index]))
+        record(index, evaluate_cell(cell_list[index]))
     return [result for result in results if result is not None]
 
 

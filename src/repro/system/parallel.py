@@ -5,8 +5,11 @@ A sweep (Table I, size sweeps, ablations) decomposes into independent
 controller simulation that holds the GIL for seconds.  This module
 fans those items out over a :class:`concurrent.futures.ProcessPoolExecutor`
 and reassembles the results in submission order, with a serial fallback
-when multiprocessing is unavailable (restricted environments) or not
-worth the fork cost (``jobs=1``, single-item sweeps).
+when worker processes cannot be spawned (restricted environments) or
+are not worth the fork cost (``jobs=1``, single-item sweeps).  Once the
+pool runs, a failure — an exception inside a task, or a pool that
+breaks mid-grid — is raised, never answered by re-running the grid
+in-process.
 
 Work items are declarative (:class:`PhaseTask` names a preset config
 and a registry mapping key rather than holding live objects), so they
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.mixed import MixedResult
@@ -313,23 +317,47 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+@contextmanager
+def pooled(worker: Callable[[Any], Any], tasks: Sequence[Any],
+           workers: int) -> Iterator[Optional[Iterator[Any]]]:
+    """``worker`` over ``tasks`` on a process pool, results in order.
+
+    Yields an iterator of the results in task order, or ``None`` when
+    the pool cannot spawn its worker processes (an :class:`OSError`
+    while starting the pool or submitting: sandboxes, exotic start
+    methods); the caller then runs the tasks in-process.  The pool is
+    an optimization, never a requirement.  Any failure after the
+    workers started — an exception raised inside a task, or a pool
+    that breaks mid-grid — propagates from the iterator once; tasks
+    not yet started are cancelled, and nothing is re-run.
+    """
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except OSError:
+        yield None
+        return
+    try:
+        futures = [pool.submit(worker, task) for task in tasks]
+    except OSError:
+        pool.shutdown(wait=True, cancel_futures=True)
+        yield None
+        return
+    try:
+        yield (future.result() for future in futures)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _run_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
                jobs: Optional[int]) -> List[Any]:
-    """Fan ``tasks`` over a process pool; serial fallback, stable order.
-
-    The process pool is an optimization, never a requirement: if worker
-    processes cannot be spawned (sandboxes, exotic start methods) the
-    engine silently degrades to the serial path, which produces the
-    identical result list.
-    """
+    """Fan ``tasks`` over a process pool (see :func:`pooled`); stable
+    order, and the serial path when workers cannot be spawned."""
     task_list = list(tasks)
     workers = min(resolve_jobs(jobs), len(task_list))
     if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(worker, task_list))
-        except (OSError, BrokenProcessPool, PermissionError):
-            pass  # fall through to the serial path
+        with pooled(worker, task_list, workers) as results:
+            if results is not None:
+                return list(results)
     return [worker(task) for task in task_list]
 
 
@@ -361,17 +389,14 @@ def _run_tasks_stored(
         save(task_list[index], result)
 
     if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                ordered = pool.map(worker,
-                                   [task_list[index] for index in pending])
+        with pooled(worker, [task_list[index] for index in pending],
+                    workers) as ordered:
+            if ordered is not None:
                 for index, result in zip(pending, ordered):
                     record(index, result)
-        except (OSError, BrokenProcessPool, PermissionError):
-            pass  # fall through to the serial path for whatever is left
+                pending = []
     for index in pending:
-        if results[index] is None:
-            record(index, worker(task_list[index]))
+        record(index, worker(task_list[index]))
     return results
 
 

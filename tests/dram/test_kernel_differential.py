@@ -5,9 +5,11 @@ to the general :class:`~repro.dram.engine.SchedulingEngine` — same
 :class:`~repro.dram.stats.PhaseStats`, same ``command_counts``, same
 :class:`~repro.dram.stats.EnergyTally`, same recorded command list —
 on every Table I (configuration, mapping) pair, in both phases, and on
-geometries beyond the Table I devices; its schedules must independently
-satisfy the JEDEC replay checker (:mod:`repro.dram.trace`) for
-homogeneous and mixed traffic.  The selection itself
+geometries beyond the Table I devices, under every discipline and for
+mixed read/write sources, which all run in the compiled loop; its
+schedules must independently satisfy the JEDEC replay checker
+(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  The
+selection itself
 (:func:`~repro.dram.kernel.make_scheduler`) is covered with the native
 object both present and forced absent, including a failed build.
 """
@@ -16,6 +18,7 @@ import random
 import subprocess
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.dram import _kernelc
@@ -27,10 +30,14 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.commands import CODE_ACT, CODE_PRE, CODE_RD, CODE_WR
 from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
 from repro.dram.geometry import Geometry
 from repro.dram.kernel import KernelEngine, make_scheduler
-from repro.dram.mixed import interleaved_stream, RowShiftedMapping
+from repro.dram.mixed import (RowShiftedMapping, interleaved_stream,
+                              steady_state_interleaver)
+from repro.dram.policy import (POLICY_BANK_PARTITION, POLICY_CLOSED_PAGE,
+                               POLICY_FRFCFS_CAP, POLICY_OPEN_PAGE)
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase_result
 from repro.dram.trace import check_phase_commands
@@ -41,6 +48,19 @@ from repro.mapping.row_major import RowMajorMapping
 N = 48
 
 RECORDING_POLICY = ControllerConfig(record_commands=True)
+
+#: Every discipline, FR-FCFS-cap at several caps (cap 1 == closed-page).
+DISCIPLINE_POLICIES = [
+    ControllerConfig(record_commands=True, discipline=POLICY_OPEN_PAGE),
+    ControllerConfig(record_commands=True, discipline=POLICY_CLOSED_PAGE),
+    *(ControllerConfig(record_commands=True, discipline=POLICY_FRFCFS_CAP,
+                       cap=cap) for cap in (1, 2, 3, 8)),
+    ControllerConfig(record_commands=True, discipline=POLICY_BANK_PARTITION),
+]
+
+DISCIPLINE_IDS = [
+    f"{p.discipline}-{p.cap}" if p.discipline == POLICY_FRFCFS_CAP
+    else p.discipline for p in DISCIPLINE_POLICIES]
 
 MAPPING_FACTORIES = {
     "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
@@ -78,11 +98,20 @@ def _run_engines(config, mapping, op, policy=None):
 
 
 def _assert_identical(general, kernel):
-    """Full bit-identity, including the compare=False energy tally."""
+    """Full bit-identity, including the compare=False energy tally, the
+    command-count key order and the direction counters."""
     assert kernel.stats == general.stats
     assert kernel.stats.command_counts == general.stats.command_counts
+    assert (list(kernel.stats.command_counts)
+            == list(general.stats.command_counts))
     assert kernel.stats.energy_tally == general.stats.energy_tally
     assert kernel.commands == general.commands
+    assert (kernel.reads, kernel.writes, kernel.turnarounds) == (
+        general.reads, general.writes, general.turnarounds)
+
+
+def _snapshots(engine, config):
+    return [engine.bank_snapshot(b) for b in range(config.geometry.banks)]
 
 
 @pytest.mark.usefixtures("native_kernel")
@@ -161,7 +190,7 @@ class TestWarmState:
         mapping = _mapping(ddr4, "optimized")
         policy = ControllerConfig()
         kernel = KernelEngine(ddr4, policy)
-        # The phases the kernel hands off run on its own wrapped engine.
+        # The wrapped engine shares the kernel's per-bank table.
         general = kernel._general
         first, second = (kernel, general) if native_first else (general, kernel)
         alternated = (
@@ -186,6 +215,26 @@ class TestWarmState:
             for op in (OP_WRITE, OP_READ))
         assert native == reference
 
+    @pytest.mark.parametrize("policy", DISCIPLINE_POLICIES,
+                             ids=DISCIPLINE_IDS)
+    def test_phase_sequence_matches_general(self, ddr4, policy):
+        """Write, read and mixed phases on one warm scheduler: every
+        result and every bank's state after every phase match."""
+        mapping = _mapping(ddr4, "optimized", n=32)
+        mixed = _mixed_requests(ddr4, n=24, group=3)
+        kernel = KernelEngine(ddr4, policy)
+        general = SchedulingEngine(ddr4, policy)
+        for phase in (OP_WRITE, "mixed", OP_READ, "mixed"):
+            if phase == "mixed":
+                results = [engine.run(MixedSource(mixed))
+                           for engine in (general, kernel)]
+            else:
+                results = [engine.run(as_workload(_chunks(mapping, phase)),
+                                      phase)
+                           for engine in (general, kernel)]
+            _assert_identical(*results)
+            assert _snapshots(kernel, ddr4) == _snapshots(general, ddr4)
+
 
 def _mixed_requests(config, n=24, group=4):
     mapping = _mapping(config, "optimized", n=n)
@@ -193,18 +242,60 @@ def _mixed_requests(config, n=24, group=4):
     return list(interleaved_stream(mapping, read_mapping, group))
 
 
+def _random_mixed(rng, n_banks, count):
+    """Random mixed requests over few rows (plenty of hits and misses)."""
+    read_share = rng.choice([0.1, 0.5, 0.9])
+    n_rows = rng.choice([2, 8, 64])
+    return [(rng.random() < read_share, rng.randrange(n_banks),
+             rng.randrange(n_rows), rng.randrange(16))
+            for _ in range(count)]
+
+
 @pytest.mark.usefixtures("native_kernel")
 class TestMixedTraffic:
-    """Mixed streams handed to the kernel run on its general engine."""
+    """Mixed streams run the compiled loop's turnaround rules."""
 
-    def test_mixed_phase_bit_identical(self, ddr4):
+    @pytest.mark.parametrize("policy", DISCIPLINE_POLICIES,
+                             ids=DISCIPLINE_IDS)
+    def test_mixed_phase_bit_identical(self, ddr4, policy):
         requests = _mixed_requests(ddr4)
-        general = SchedulingEngine(ddr4, RECORDING_POLICY).run(
-            MixedSource(requests))
-        kernel = KernelEngine(ddr4, RECORDING_POLICY).run(
-            MixedSource(requests))
+        general_engine = SchedulingEngine(ddr4, policy)
+        kernel_engine = KernelEngine(ddr4, policy)
+        general = general_engine.run(MixedSource(requests))
+        kernel = kernel_engine.run(MixedSource(requests))
         _assert_identical(general, kernel)
-        assert (kernel.reads, kernel.writes, kernel.turnarounds) == (
+        assert kernel.turnarounds > 0
+        assert _snapshots(kernel_engine, ddr4) == _snapshots(general_engine,
+                                                             ddr4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("policy", DISCIPLINE_POLICIES,
+                             ids=DISCIPLINE_IDS)
+    def test_random_mixed_bit_identical(self, policy, seed):
+        salt = DISCIPLINE_POLICIES.index(policy)
+        rng = random.Random(0x5EED * 100 + salt * 10 + seed)
+        config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
+        policy = replace(policy, queue_depth=rng.choice([1, 8, 64]),
+                         per_bank_depth=rng.choice([1, 4, 16]))
+        requests = _random_mixed(rng, config.geometry.banks, 1500)
+        general_engine = SchedulingEngine(config, policy)
+        kernel_engine = KernelEngine(config, policy)
+        _assert_identical(general_engine.run(MixedSource(requests)),
+                          kernel_engine.run(MixedSource(requests)))
+        assert (_snapshots(kernel_engine, config)
+                == _snapshots(general_engine, config))
+
+    def test_steady_state_matches_general(self, ddr4, request):
+        """The columnar steady-state source: native == general engine."""
+        mapping = _mapping(ddr4, "optimized", n=32)
+        native = steady_state_interleaver(ddr4, mapping, group=16,
+                                          policy=RECORDING_POLICY)
+        request.getfixturevalue("general_only")
+        general = steady_state_interleaver(ddr4, mapping, group=16,
+                                           policy=RECORDING_POLICY)
+        assert native.stats == general.stats
+        assert native.commands == general.commands
+        assert (native.reads, native.writes, native.turnarounds) == (
             general.reads, general.writes, general.turnarounds)
 
     def test_small_mixed_stream(self, tiny_config):
@@ -399,3 +490,104 @@ class TestRecordTape:
         oracle = reference_run_phase(ddr4, _chunks(mapping, OP_READ),
                                      OP_READ, RECORDING_POLICY)
         assert list(kernel.commands) == oracle.commands
+
+    @pytest.mark.parametrize("tape_rows", (1, 5))
+    def test_tiny_tape_mixed_auto_close(self, ddr4, monkeypatch, tape_rows):
+        """Many drains in one phase holding auto-PREs and both CAS kinds."""
+        monkeypatch.setattr(kernel_module, "_TAPE_ROWS", tape_rows)
+        policy = ControllerConfig(record_commands=True,
+                                  discipline=POLICY_FRFCFS_CAP, cap=2)
+        requests = _mixed_requests(ddr4, n=64, group=8)
+        general = SchedulingEngine(ddr4, policy).run(MixedSource(requests))
+        kernel = KernelEngine(ddr4, policy).run(MixedSource(requests))
+        _assert_identical(general, kernel)
+        codes = set(kernel.commands.code.tolist())
+        assert {CODE_RD, CODE_WR, CODE_PRE, CODE_ACT} <= codes
+        assert kernel.stats.refreshes > 0
+        assert len(kernel.commands) > 8 * (tape_rows + 2 * ddr4.geometry.banks)
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestNoHandOff:
+    """Every discipline and mixed source runs in the compiled loop: the
+    wrapped general engine's ``run`` is never called."""
+
+    @pytest.fixture
+    def kernel_for(self, monkeypatch):
+        def build(config, policy):
+            kernel = KernelEngine(config, policy)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("phase handed to the general engine")
+
+            monkeypatch.setattr(kernel._general, "run", refuse)
+            return kernel
+        return build
+
+    @pytest.mark.parametrize("policy", DISCIPLINE_POLICIES,
+                             ids=DISCIPLINE_IDS)
+    def test_every_discipline_runs_natively(self, ddr4, kernel_for, policy):
+        mapping = _mapping(ddr4, "optimized", n=24)
+        kernel = kernel_for(ddr4, policy)
+        for op in (OP_WRITE, OP_READ):
+            result = kernel.run(as_workload(_chunks(mapping, op)), op)
+            assert result.stats.requests == mapping.space.num_elements
+        result = kernel.run(MixedSource(_mixed_requests(ddr4)))
+        assert result.turnarounds > 0
+
+    def test_public_entry_points_run_natively(self, ddr4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase run on the general engine")
+
+        monkeypatch.setattr(SchedulingEngine, "run", refuse)
+        mapping = _mapping(ddr4, "optimized", n=24)
+        for policy in DISCIPLINE_POLICIES:
+            steady_state_interleaver(ddr4, mapping, group=4, policy=policy)
+            simulate_phase_result(ddr4, mapping, OP_READ, policy)
+
+
+def _scalar_interleaved_stream(write_mapping, read_mapping, group=1):
+    """The per-element interleaving generator the columns replaced."""
+    if group < 1:
+        raise ValueError(f"group must be >= 1, got {group}")
+    writers = iter(write_mapping.write_addresses())
+    readers = iter(read_mapping.read_addresses())
+    live = True
+    while live:
+        live = False
+        for _ in range(group):
+            item = next(writers, None)
+            if item is not None:
+                live = True
+                yield (False,) + item
+        for _ in range(group):
+            item = next(readers, None)
+            if item is not None:
+                live = True
+                yield (True,) + item
+
+
+class TestColumnarInterleave:
+    """The columnar stream equals the scalar generator, element-wise."""
+
+    @pytest.mark.parametrize("group", (1, 3, 16))
+    @pytest.mark.parametrize("sizes", ((12, 12), (12, 7), (5, 12)),
+                             ids=("equal", "reads-run-out", "writes-run-out"))
+    def test_matches_scalar_generator(self, ddr4, group, sizes):
+        write_mapping = _mapping(ddr4, "optimized", n=sizes[0])
+        inner = _mapping(ddr4, "row-major", n=sizes[1])
+        read_mapping = RowShiftedMapping(inner, write_mapping.rows_used())
+        columnar = list(interleaved_stream(write_mapping, read_mapping, group))
+        scalar = list(_scalar_interleaved_stream(write_mapping, read_mapping,
+                                                 group))
+        assert columnar == scalar
+        assert [type(value) for value in columnar[0]] == [bool, int, int, int]
+
+    def test_row_shifted_arrays_match_tuples(self, ddr4):
+        inner = _mapping(ddr4, "optimized", n=20)
+        shifted = RowShiftedMapping(inner, 37)
+        assert shifted.vectorized == inner.vectorized
+        i, j = map(np.asarray, zip(*inner.space.read_order()))
+        banks, rows, cols = shifted.address_arrays(i, j)
+        assert list(zip(banks.tolist(), rows.tolist(), cols.tolist())) == [
+            shifted.address_tuple(int(a), int(b)) for a, b in zip(i, j)]

@@ -9,6 +9,8 @@ import urllib.request
 
 import pytest
 
+from repro.store import jobs as jobs_module
+from repro.store.records import KIND_CAMPAIGN, KIND_JOB, derive_key
 from repro.store.server import MAX_BODY_BYTES, create_server
 from repro.system.campaign import campaign_report, summarize_campaign
 
@@ -188,6 +190,37 @@ class TestJobLifecycle:
         assert second["job"] == first["job"]
         assert second["completed"] == 2
         assert second["done"] is True
+
+    def test_crashed_job_reports_failure(self, server, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ValueError("simulated crash")
+
+        monkeypatch.setattr(jobs_module, "run_campaign", crash)
+        status, submitted = request_json(server, "/jobs", body=SMALL_SPEC,
+                                         method="POST")
+        assert status == 202
+        job_id = submitted["job"]
+        deadline = time.monotonic() + DEADLINE_S
+        while True:
+            status, body = request_json(server, f"/jobs/{job_id}")
+            assert status == 200
+            if "failed" in body or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
+        assert body["failed"] == "ValueError: simulated crash"
+        assert body["running"] is False
+        assert body["done"] is False
+        # Only the job record is stored; the failure lives in memory.
+        store = server.engine.store
+        assert [derive_key(KIND_JOB, config)
+                for config, _ in store.list_entries(KIND_JOB)] == [job_id]
+        assert list(store.list_entries(KIND_CAMPAIGN)) == []
+
+        # A restart clears the failure (and here completes the job).
+        monkeypatch.undo()
+        assert server.engine.start(server.engine.get(job_id)) is True
+        final = poll_until_done(server, job_id)
+        assert "failed" not in final
 
     def test_empty_body_submits_the_default_grid(self, server, monkeypatch):
         # registering the 162-cell grid is instant; running it is not —

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
+from repro.store.store import ResultStore
 from repro.system import campaign as campaign_module
 from repro.system.campaign import (
     CampaignCell,
@@ -220,6 +222,33 @@ class TestDeterminism:
     def test_repeated_runs_identical(self):
         cells = _cells(seeds=(42,), frames=20)
         assert run_campaign(cells) == run_campaign(cells)
+
+    def test_failing_cell_raised_once_not_rerun(self, tmp_path, monkeypatch):
+        """A cell that fails on the pool surfaces; the grid is not re-run
+        in-process, and the cells that finished are still persisted."""
+        log = tmp_path / "runs.log"
+        cells = _cells(seeds=(1, 2, 3, 4), frames=10)
+        monkeypatch.setattr(campaign_module, "evaluate_cell",
+                            partial(_logged_cell, str(log), 3))
+        stored = []
+        monkeypatch.setattr(ResultStore, "store_campaign",
+                            lambda self, result: stored.append(result))
+        with pytest.raises(OSError, match="cell 3 failed"):
+            run_campaign(cells, jobs=2, store=ResultStore(str(tmp_path / "s")))
+        runs = log.read_text().split()
+        # Cell 4 may have been cancelled before it started; none twice.
+        assert sorted(set(runs)) == sorted(runs)
+        assert {"1", "2", "3"} <= set(runs)
+        assert [result.cell.seed for result in stored] == [1, 2]
+
+
+def _logged_cell(log, fail_seed, cell):
+    """Log one line per evaluation; the cell seeded ``fail_seed`` raises."""
+    with open(log, "a") as stream:
+        stream.write(f"{cell.seed}\n")
+    if cell.seed == fail_seed:
+        raise OSError(f"cell {cell.seed} failed")
+    return evaluate_cell(cell)
 
 
 class TestCache:

@@ -1,5 +1,7 @@
 """Parallel sweep engine: task execution, fan-out, serial equivalence."""
 
+from functools import partial
+
 import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
@@ -7,6 +9,8 @@ from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
+from repro.store.store import ResultStore
+from repro.system import parallel as parallel_module
 from repro.system.parallel import (
     PhaseTask,
     execute_phase_task,
@@ -104,3 +108,60 @@ class TestRunPhaseTasks:
     def test_single_task_stays_serial(self):
         results = run_phase_tasks(self.TASKS[:1], jobs=8)
         assert len(results) == 1
+
+
+def _logged_task(log, fail_op, task):
+    """Log one line per execution; the task whose op is ``fail_op`` raises.
+
+    An :class:`OSError` on purpose: before failures inside a task were
+    told apart from a pool that cannot spawn, this one was answered by
+    re-running the grid in-process.
+    """
+    with open(log, "a") as stream:
+        stream.write(f"{task.config_name}/{task.mapping}/{task.op}\n")
+    if task.op == fail_op:
+        raise OSError(f"task {task.mapping}/{task.op} failed")
+    return execute_phase_task(task)
+
+
+class _UnspawnablePool:
+    """A process pool whose workers cannot start (a sandbox, say)."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        raise PermissionError("fork not permitted")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestPoolFailures:
+    @pytest.mark.parametrize("stored", (False, True),
+                             ids=("storeless", "stored"))
+    def test_task_error_raised_once_not_rerun(self, tmp_path, monkeypatch,
+                                              stored):
+        log = tmp_path / "runs.log"
+        tasks = [PhaseTask(config_name="DDR3-800", mapping="row-major",
+                           op=op, n=24) for op in (OP_WRITE, OP_WRITE, OP_READ)]
+        monkeypatch.setattr(parallel_module, "execute_phase_task",
+                            partial(_logged_task, str(log), OP_READ))
+        store = ResultStore(str(tmp_path / "store")) if stored else None
+        with pytest.raises(OSError, match="failed"):
+            run_phase_tasks(tasks, jobs=2, store=store)
+        runs = log.read_text().splitlines()
+        assert len(runs) == len(tasks)  # every task ran exactly once
+        assert runs.count(f"DDR3-800/row-major/{OP_READ}") == 1
+
+    def test_unspawnable_pool_runs_serially(self, tmp_path, monkeypatch):
+        log = tmp_path / "runs.log"
+        tasks = [PhaseTask(config_name="DDR3-800", mapping=mapping, op=OP_READ,
+                           n=24) for mapping in ("row-major", "optimized")]
+        expected = run_phase_tasks(tasks, jobs=1)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor",
+                            _UnspawnablePool)
+        monkeypatch.setattr(parallel_module, "execute_phase_task",
+                            partial(_logged_task, str(log), None))
+        assert run_phase_tasks(tasks, jobs=2) == expected
+        assert len(log.read_text().splitlines()) == len(tasks)

@@ -131,6 +131,25 @@ class TestTrace:
         assert "original violations: 0" in out
         assert "re-scheduled" in out
 
+    def test_replay_identical_without_native(self, tmp_path, capsys,
+                                             native_kernel, request):
+        """The replay goes through make_scheduler: the native mixed loop
+        and the general engine print and write the same bytes."""
+        path = tmp_path / "phase.trace"
+        assert main(["trace", "--n", "24", "--phase", "write",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+
+        def replay(out):
+            assert main(["trace", "--config", "DDR4-3200", "--replay",
+                         str(path), "--out", str(out)]) == 0
+            return (capsys.readouterr().out.replace(str(out), "OUT"),
+                    out.read_bytes())
+
+        native = replay(tmp_path / "native.trace")
+        request.getfixturevalue("general_only")
+        assert replay(tmp_path / "general.trace") == native
+
     def test_replay_missing_file_fails(self, tmp_path, capsys):
         assert main(["trace", "--replay", str(tmp_path / "nope.trace")]) == 2
         assert "error" in capsys.readouterr().err
