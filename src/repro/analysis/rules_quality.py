@@ -35,10 +35,14 @@ HOT_PATHS: Dict[str, str] = {
         "the engine arbiter walk (every scheduled command)",
     "repro.dram.kernel.KernelEngine._run_native":
         "the compiled-kernel driver (segment re-entry per refresh)",
-    "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":
+    "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
         "the channel dwell sampler (every frame)",
+    "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":
+        "the dense fade-mask fill (every dense frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._sample_batch":
-        "the batched channel core (every campaign cell)",
+        "the dense batched channel core (noisy good state)",
+    "repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions":
+        "the sparse fade-span walk (every campaign chunk)",
     "repro.dram.engine._PartitionedSource.batches":
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":

@@ -20,7 +20,7 @@ rate are exposed in closed form for test cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -119,37 +119,48 @@ class GilbertElliottChannel:
         self._state = BAD if self.rng.random() < params.stationary_bad else GOOD
         self._batch_buffers: Optional[Tuple[Tuple[int, int], NDArray[np.bool_], NDArray[np.float64]]] = None  # (shape, fades, draws) scratch reuse
 
-    def _fill_state_row(self, row: NDArray[np.bool_]) -> None:
-        """Fill ``row`` with one frame's fade mask, advancing the chain.
+    def _fade_runs(self, count: int, runs: List[Tuple[int, int]]) -> None:
+        """Advance the chain over one frame and record its fades.
 
-        This is the sampling core shared by the scalar and the batched
-        entry points: the draw order (one geometric per dwell, truncated
-        dwells redrawn next frame) is part of the reproducibility
-        contract, so both paths must run exactly this loop.
+        ``runs`` is cleared and refilled with the frame's fade runs as
+        half-open ``(start, end)`` symbol spans in ascending order.
+
+        This is the sampling core of every entry point: the draw order
+        (one geometric per dwell, truncated dwells redrawn next frame)
+        is part of the reproducibility contract, so all paths must run
+        exactly this loop.
         """
-        count = row.size
+        del runs[:]
         params = self.params
-        rng = self.rng
+        geometric = self.rng.geometric
         position = 0
         state = self._state
         while position < count:
-            p_leave = params.p_b2g if state == BAD else params.p_g2b
-            run = rng.geometric(p_leave)
-            end = min(position + run, count)
-            row[position:end] = state == BAD
-            if position + run > count:
+            run = geometric(params.p_b2g if state == BAD else params.p_g2b)
+            end = position + run
+            if state == BAD:
+                runs.append((position, min(end, count)))
+            if end > count:
                 # Dwell continues into the next call.
                 break
             position = end
             state = BAD if state == GOOD else GOOD
         self._state = state
 
+    def _fill_state_row(self, row: NDArray[np.bool_],
+                        runs: List[Tuple[int, int]]) -> None:
+        """Fill ``row`` with one frame's fade mask, advancing the chain."""
+        self._fade_runs(row.size, runs)
+        row[:] = False
+        for start, end in runs:
+            row[start:end] = True
+
     def state_mask(self, count: int) -> NDArray[np.bool_]:
         """Boolean array: ``True`` where the channel is in a fade."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         mask = np.empty(count, dtype=bool)
-        self._fill_state_row(mask)
+        self._fill_state_row(mask, [])
         return mask
 
     def state_masks(self, count: int, frames: int) -> NDArray[np.bool_]:
@@ -160,13 +171,11 @@ class GilbertElliottChannel:
         (and its dwell carry-over) continues across rows exactly as it
         does across calls.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if frames < 0:
-            raise ValueError(f"frames must be >= 0, got {frames}")
+        _check_batch(count, frames)
         masks = np.empty((frames, count), dtype=bool)
+        runs: List[Tuple[int, int]] = []
         for f in range(frames):
-            self._fill_state_row(masks[f])
+            self._fill_state_row(masks[f], runs)
         return masks
 
     def error_mask(self, count: int) -> NDArray[np.bool_]:
@@ -181,17 +190,14 @@ class GilbertElliottChannel:
     def _sample_batch(
             self, count: int,
             frames: int) -> Tuple[NDArray[np.bool_], NDArray[np.float64]]:
-        """Fade masks and uniform draws for a frame batch (shared core).
+        """Dense fade masks and uniform draws for a frame batch.
 
         RNG consumption is frame-sequential — geometric dwells, then the
         frame's uniforms, identical to per-frame :meth:`error_mask`
         calls — which is what makes the batched entry points
         bit-identical to the scalar ones.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if frames < 0:
-            raise ValueError(f"frames must be >= 0, got {frames}")
+        _check_batch(count, frames)
         # Scratch buffers are reused across same-shaped batches (the
         # chunk loop of a campaign cell): refilling warm pages is much
         # cheaper than faulting in fresh ones every chunk.  They never
@@ -204,8 +210,9 @@ class GilbertElliottChannel:
                 np.empty(shape, dtype=np.float64),
             )
         _, fades, draws = self._batch_buffers
+        runs: List[Tuple[int, int]] = []
         for f in range(frames):
-            self._fill_state_row(fades[f])
+            self._fill_state_row(fades[f], runs)
             if count:
                 self.rng.random(out=draws[f])
         return fades, draws
@@ -247,19 +254,57 @@ class GilbertElliottChannel:
 
         Returns ``(frame_idx, sym_idx)`` arrays in row-major order,
         exactly ``np.nonzero(self.error_masks(count, frames))`` from the
-        same generator state — but when ``p_good == 0`` the uniforms are
-        only compared *at fade positions*, so the per-symbol cost of the
-        whole error stage collapses to the uniform generation itself.
-        This is the campaign engine's channel entry point.
+        same generator state, which ends in the same state too.  This is
+        the campaign engine's channel entry point.
+
+        When ``p_good == 0`` only symbols inside a fade can be hit, so
+        the batch is never built densely: each frame's fade runs come
+        from the dwell sampler, uniforms are drawn only inside them, and
+        the generator is moved past the uniforms of every stretch
+        between fades without producing them: a PCG64 ``advance`` jump,
+        or a draw-and-discard into a scratch row for other generators.
+        The per-symbol cost then scales with the fade fraction, not
+        with the frame length.
         """
-        fades, draws = self._sample_batch(count, frames)
         params = self.params
-        if params.p_good == 0.0:
-            frame_idx, sym_idx = np.nonzero(fades)
-            hits = draws[frame_idx, sym_idx] < params.p_bad
-            return frame_idx[hits], sym_idx[hits]
-        frame_idx, sym_idx = np.nonzero(self._combine_errors(fades, draws))
-        return frame_idx, sym_idx
+        if params.p_good > 0.0:
+            frame_idx, sym_idx = np.nonzero(
+                self._combine_errors(*self._sample_batch(count, frames)))
+            return frame_idx, sym_idx
+        _check_batch(count, frames)
+        skip = _uniform_skipper(self.rng, count)
+        random = self.rng.random
+        runs: List[Tuple[int, int]] = []
+        span_frames: List[int] = []
+        span_starts: List[int] = []
+        span_lengths: List[int] = []
+        draws: List[NDArray[np.float64]] = []
+        for f in range(frames):
+            self._fade_runs(count, runs)
+            position = 0
+            for start, end in runs:
+                if start > position:
+                    skip(start - position)
+                draws.append(random(end - start))
+                span_frames.append(f)
+                span_starts.append(start)
+                span_lengths.append(end - start)
+                position = end
+            if count > position:
+                skip(count - position)
+        if not draws:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty.copy()
+        starts = np.array(span_starts, dtype=np.intp)
+        lengths = np.array(span_lengths, dtype=np.intp)
+        # Fade symbols packed span after span: packed index k of span s
+        # is symbol k - packed_start[s] + starts[s] of frame span_frames[s].
+        packed_starts = np.cumsum(lengths) - lengths
+        frame_idx = np.repeat(np.array(span_frames, dtype=np.intp), lengths)
+        sym_idx = np.arange(packed_starts[-1] + lengths[-1], dtype=np.intp)
+        sym_idx += np.repeat(starts - packed_starts, lengths)
+        hits = np.concatenate(draws) < params.p_bad
+        return frame_idx[hits], sym_idx[hits]
 
     def corrupt(self, symbols: NDArray[Any],
                 bits_per_symbol: int = 3) -> NDArray[Any]:
@@ -267,12 +312,58 @@ class GilbertElliottChannel:
 
         Corrupted symbols are XOR-flipped with a uniformly random
         non-zero pattern, guaranteeing the symbol value changes.
+
+        Raises:
+            ValueError: if ``bits_per_symbol`` is below 1 or wider than
+                the symbol dtype (a flip pattern would not fit a symbol).
         """
         if bits_per_symbol < 1:
             raise ValueError(f"bits_per_symbol must be >= 1, got {bits_per_symbol}")
+        flip_dtype = symbols.dtype if symbols.dtype.kind == "u" else np.dtype(np.uint16)
+        width = min(8 * symbols.dtype.itemsize, 8 * flip_dtype.itemsize)
+        if bits_per_symbol > width:
+            raise ValueError(
+                f"bits_per_symbol={bits_per_symbol} is wider than the "
+                f"{width}-bit {symbols.dtype} symbols")
         mask = self.error_mask(symbols.size)
         flips = self.rng.integers(1, 1 << bits_per_symbol, size=symbols.size,
-                                  dtype=symbols.dtype if symbols.dtype.kind == "u" else np.uint16)
+                                  dtype=flip_dtype)
         corrupted = symbols.copy()
         corrupted[mask] ^= flips[mask]
         return corrupted
+
+
+def _check_batch(count: int, frames: int) -> None:
+    """Reject negative batch dimensions."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
+
+
+def _uniform_skipper(rng: np.random.Generator,
+                     count: int) -> Callable[[int], Any]:
+    """Return ``skip(n)``, which moves ``rng`` past ``n`` uniforms of at most ``count``.
+
+    After ``skip(n)`` the generator is in exactly the state
+    ``rng.random(n)`` would leave it in.  On PCG64 one float64 uniform
+    is one 64-bit step, so ``skip`` is the O(log n) jump
+    ``bit_generator.advance``.  That jump also clears the buffered
+    32-bit half a narrow integer draw may leave behind (``has_uint32``
+    and ``uinteger``), so a generator holding one — like any other bit
+    generator, whose ``advance`` (where it has one) counts different
+    units — draws the uniforms into a reused scratch row and discards
+    them instead.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is np.random.PCG64:
+        state = bit_generator.state
+        if not (state["has_uint32"] or state["uinteger"]):
+            return bit_generator.advance
+    scratch = np.empty(count, dtype=np.float64)
+    random = rng.random
+
+    def discard(n: int) -> None:
+        random(out=scratch[:n])
+
+    return discard

@@ -16,12 +16,13 @@ Both operate on whole frames: one frame is ``num_elements`` symbols.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.interleaver.triangular import (
+    CoordChunk,
     IndexSpace,
     RectangularIndexSpace,
     TriangularIndexSpace,
@@ -32,15 +33,20 @@ def _permutation_from_orders(space: IndexSpace) -> NDArray[Any]:
     """Index permutation mapping write order to read order.
 
     ``out[k] = data[perm[k]]``: the k-th symbol *read* is the
-    ``perm[k]``-th symbol *written*.
+    ``perm[k]``-th symbol *written*.  Built from the columnar
+    coordinate chunks: ``linear_indices`` names every cell once, so
+    inverting the write traversal's names gives each cell's write slot.
     """
-    write_slot: Dict[Tuple[int, int], int] = {}
-    for slot, cell in enumerate(space.write_order()):
-        write_slot[cell] = slot
-    perm = np.empty(space.num_elements, dtype=np.int64)
-    for slot, cell in enumerate(space.read_order()):
-        perm[slot] = write_slot[cell]
+    write_cells = _linear_order(space, space.write_coord_chunks())
+    write_slot = np.empty(space.num_elements, dtype=np.int64)
+    write_slot[write_cells] = np.arange(space.num_elements, dtype=np.int64)
+    perm: NDArray[Any] = write_slot[_linear_order(space, space.read_coord_chunks())]
     return perm
+
+
+def _linear_order(space: IndexSpace, chunks: Iterable[CoordChunk]) -> NDArray[Any]:
+    """Linear indices of a traversal's cells, in traversal order."""
+    return np.concatenate([space.linear_indices(i, j) for i, j in chunks])
 
 
 class _PermutationInterleaver:

@@ -400,25 +400,22 @@ def _row_wise_chunks(np: Any, n: int, length_of: Callable[[int], int],
     Walks the major axis of a size-``n`` triangle; index ``k`` of the
     major axis carries ``length_of(k)`` cells along the minor axis.
     With ``major_is_row`` the yielded pair is ``(i, j) = (k, minor)``
-    (write order), otherwise ``(minor, k)`` (read order).
+    (write order), otherwise ``(minor, k)`` (read order).  Chunk
+    boundaries are found on the row lengths alone; each chunk's
+    columns are then built in a handful of whole-array operations.
     """
-    major_parts = []
-    minor_parts = []
+    lengths = [length_of(k) for k in range(n)]
+    first = 0
     filled = 0
-    for k in range(n):
-        length = length_of(k)
-        major_parts.append(np.full(length, k, dtype=np.int64))
-        minor_parts.append(np.arange(length, dtype=np.int64))
+    for k, length in enumerate(lengths):
         filled += length
-        if filled >= chunk_size:
-            major = np.concatenate(major_parts)
-            minor = np.concatenate(minor_parts)
+        if filled >= chunk_size or (k == n - 1 and filled):
+            counts = np.array(lengths[first:k + 1], dtype=np.int64)
+            major = np.repeat(np.arange(first, k + 1, dtype=np.int64), counts)
+            minor = np.arange(filled, dtype=np.int64)
+            minor -= np.repeat(np.cumsum(counts) - counts, counts)
             yield (major, minor) if major_is_row else (minor, major)
-            major_parts, minor_parts, filled = [], [], 0
-    if filled:
-        major = np.concatenate(major_parts)
-        minor = np.concatenate(minor_parts)
-        yield (major, minor) if major_is_row else (minor, major)
+            first, filled = k + 1, 0
 
 
 def triangle_size_for_elements(num_elements: int) -> int:

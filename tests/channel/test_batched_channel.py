@@ -107,6 +107,140 @@ class TestChannelMasks:
             channel.state_masks(5, -2)
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
+
+
+def _sparse_dense_twins(params, seed, bit_generator=np.random.PCG64):
+    return tuple(
+        GilbertElliottChannel(params, np.random.Generator(bit_generator(seed)))
+        for _ in range(2))
+
+
+def _same_state(left, right):
+    """Deep equality of ``bit_generator.state`` dicts (some hold arrays)."""
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _same_state(left[key], right[key]) for key in left)
+    if isinstance(left, np.ndarray):
+        return np.array_equal(left, right)
+    return left == right
+
+
+def _assert_sparse_matches_dense(sparse, dense, count, frames):
+    frame_idx, sym_idx = sparse.error_positions(count, frames)
+    expected = np.nonzero(dense.error_masks(count, frames))
+    assert np.array_equal(frame_idx, expected[0])
+    assert np.array_equal(sym_idx, expected[1])
+    assert frame_idx.dtype == expected[0].dtype
+    assert sym_idx.dtype == expected[1].dtype
+    assert _same_state(sparse.rng.bit_generator.state,
+                       dense.rng.bit_generator.state)
+    return frame_idx, sym_idx
+
+
+class TestSparseFadeSampling:
+    """error_positions' fade-span path against the dense mask oracle.
+
+    With ``p_good == 0`` the sparse path draws uniforms only inside
+    fades and jumps (PCG64) or draws and discards (everything else)
+    over the rest; positions *and* the generator state afterwards must
+    match ``np.nonzero(error_masks(...))`` on a twin generator.
+    """
+
+    SPARSE = GilbertElliottParams(p_g2b=6.7e-5, p_b2g=1 / 60.0, p_bad=0.7)
+    DENSE_FADES = GilbertElliottParams(p_g2b=0.01, p_b2g=0.1, p_bad=0.6)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda g: g.__name__)
+    @pytest.mark.parametrize("params", [SPARSE, DENSE_FADES],
+                             ids=["sparse", "dense"])
+    def test_bit_generators(self, bit_generator, params):
+        sparse, dense = _sparse_dense_twins(params, 11, bit_generator)
+        for count, frames in ((4704, 16), (311, 8), (1, 40)):
+            _assert_sparse_matches_dense(sparse, dense, count, frames)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda g: g.__name__)
+    def test_largest_campaign_frame(self, bit_generator):
+        # n=48 two-stage frame: 1176 elements x 4 symbols, one full chunk.
+        sparse, dense = _sparse_dense_twins(self.SPARSE, 3, bit_generator)
+        frame_idx, _ = _assert_sparse_matches_dense(sparse, dense, 4704, 128)
+        assert frame_idx.size > 0
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.integers(0, 7, size=3, dtype=np.uint16),
+        lambda rng: rng.integers(0, 1 << 20, dtype=np.uint32),
+        lambda rng: rng.integers(0, 7, size=4, dtype=np.uint8),
+    ], ids=["uint16x3", "uint32", "uint8x4"])
+    def test_pcg64_with_buffered_half(self, draw):
+        sparse, dense = _sparse_dense_twins(self.DENSE_FADES, 5)
+        draw(sparse.rng)
+        draw(dense.rng)
+        _assert_sparse_matches_dense(sparse, dense, 500, 12)
+        # The buffered half survives the call and feeds the next draw.
+        assert np.array_equal(sparse.rng.integers(0, 1000, 5, dtype=np.uint16),
+                              dense.rng.integers(0, 1000, 5, dtype=np.uint16))
+        _assert_sparse_matches_dense(sparse, dense, 500, 12)
+
+    def test_after_corrupt(self):
+        sparse, dense = _sparse_dense_twins(self.DENSE_FADES, 9)
+        symbols = np.zeros(37, dtype=np.uint8)
+        assert np.array_equal(sparse.corrupt(symbols), dense.corrupt(symbols))
+        _assert_sparse_matches_dense(sparse, dense, 300, 10)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
+                             ids=lambda g: g.__name__)
+    def test_fades_cross_frame_and_batch_boundaries(self, bit_generator):
+        # Mean fade 500 symbols over 64-symbol frames: fades span many
+        # frames and the uneven chunks cut through them.
+        params = GilbertElliottParams(p_g2b=1e-3, p_b2g=1 / 500.0, p_bad=0.7)
+        sparse, dense = _sparse_dense_twins(params, 21, bit_generator)
+        hit_frames = 0
+        for frames in (3, 5, 1, 7, 16, 2, 40):
+            frame_idx, _ = _assert_sparse_matches_dense(
+                sparse, dense, 64, frames)
+            hit_frames += np.unique(frame_idx).size
+        assert hit_frames > 20
+
+    @pytest.mark.parametrize("p_g2b,p_b2g", [
+        (0.5, 1.0), (1.0, 1.0), (1 / 3, 1.0), (0.4, 0.5), (0.9, 0.05)])
+    def test_geometric_search_branch(self, p_g2b, p_b2g):
+        # NumPy draws geometrics with p >= 1/3 by sequential search
+        # (a variable number of uniforms per dwell).
+        params = GilbertElliottParams(p_g2b=p_g2b, p_b2g=p_b2g, p_bad=0.5)
+        sparse, dense = _sparse_dense_twins(params, 4)
+        for _ in range(3):
+            _assert_sparse_matches_dense(sparse, dense, 97, 6)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox],
+                             ids=lambda g: g.__name__)
+    def test_alternating_entry_points(self, bit_generator):
+        channel, oracle = _sparse_dense_twins(self.DENSE_FADES, 13,
+                                              bit_generator)
+        for step in range(6):
+            if step % 2:
+                assert np.array_equal(channel.error_masks(211, 5),
+                                      oracle.error_masks(211, 5))
+            else:
+                _assert_sparse_matches_dense(channel, oracle, 211, 5)
+        assert channel._state == oracle._state
+
+    @pytest.mark.parametrize("count,frames", [(0, 4), (10, 0), (0, 0)])
+    def test_empty_batches(self, count, frames):
+        sparse, dense = _sparse_dense_twins(self.DENSE_FADES, 2)
+        frame_idx, sym_idx = _assert_sparse_matches_dense(
+            sparse, dense, count, frames)
+        assert frame_idx.size == sym_idx.size == 0
+
+    def test_rejects_negative_arguments(self):
+        channel = GilbertElliottChannel(self.SPARSE, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            channel.error_positions(-1, 3)
+        with pytest.raises(ValueError):
+            channel.error_positions(5, -2)
+
+
 class TestBatchedDecoding:
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
     def test_decode_masks_match_per_frame(self, seed, params):

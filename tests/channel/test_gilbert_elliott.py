@@ -129,3 +129,25 @@ class TestCorrupt:
             GilbertElliottParams(p_g2b=0.1, p_b2g=0.1))
         with pytest.raises(ValueError):
             channel.corrupt(np.zeros(10, dtype=np.uint16), bits_per_symbol=0)
+
+    @pytest.mark.parametrize("dtype,bits", [
+        (np.uint8, 9), (np.int8, 9), (np.uint16, 17), (np.int64, 17)])
+    def test_rejects_width_beyond_symbol_dtype(self, dtype, bits):
+        rng = np.random.default_rng(5)
+        channel = GilbertElliottChannel(
+            GilbertElliottParams(p_g2b=0.1, p_b2g=0.1), rng=rng)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="wider than the"):
+            channel.corrupt(np.zeros(10, dtype=dtype), bits_per_symbol=bits)
+        assert rng.bit_generator.state == before  # rejected before any draw
+
+    @pytest.mark.parametrize("dtype,bits", [
+        (np.uint8, 8), (np.int8, 8), (np.uint16, 16), (np.int64, 16)])
+    def test_accepts_full_symbol_width(self, dtype, bits):
+        channel = GilbertElliottChannel(
+            GilbertElliottParams(p_g2b=0.9, p_b2g=0.1, p_bad=1.0),
+            rng=np.random.default_rng(5))
+        symbols = np.zeros(200, dtype=dtype)
+        corrupted = channel.corrupt(symbols, bits_per_symbol=bits)
+        assert corrupted.dtype == symbols.dtype
+        assert (corrupted != symbols).sum() > 100

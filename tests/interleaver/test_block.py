@@ -114,3 +114,32 @@ class TestTriangularInterleaver:
         assert np.array_equal(
             interleaver.deinterleave(interleaver.interleave(frame)), frame
         )
+
+
+def _permutation_by_walking_orders(space):
+    """Reference: look every read-order cell up in a write-order dict."""
+    write_slot = {cell: slot for slot, cell in enumerate(space.write_order())}
+    return np.array([write_slot[cell] for cell in space.read_order()],
+                    dtype=np.int64)
+
+
+class TestPermutationMatchesOrders:
+    """The columnar permutation build equals the per-cell order walk."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 32, 48, 101])
+    def test_triangular(self, n):
+        from repro.interleaver.triangular import TriangularIndexSpace
+        expected = _permutation_by_walking_orders(TriangularIndexSpace(n))
+        perm = TriangularInterleaver(n).permutation()
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, expected)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (9, 1), (2, 3),
+                                           (4, 24), (13, 7)])
+    def test_block(self, rows, cols):
+        from repro.interleaver.triangular import RectangularIndexSpace
+        expected = _permutation_by_walking_orders(
+            RectangularIndexSpace(rows, cols))
+        perm = BlockInterleaver(rows, cols).permutation()
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, expected)
