@@ -33,8 +33,8 @@ from repro.analysis.findings import Finding
 HOT_PATHS: Dict[str, str] = {
     "repro.dram.engine.SchedulingEngine.run":
         "the engine arbiter walk (every scheduled command)",
-    "repro.dram.kernel.KernelEngine._run_native":
-        "the compiled-kernel driver (segment re-entry per refresh)",
+    "repro.dram.kernel.KernelEngine.run":
+        "the compiled-kernel driver (segment re-entry per tape drain)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
         "the channel dwell sampler (every frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":

@@ -68,7 +68,7 @@ from repro.dram.mixed import (
     run_mixed_phase,
     steady_state_interleaver,
 )
-from repro.dram.refresh import RefreshEvent, RefreshScheduler
+from repro.dram.refresh import RefreshEvent, RefreshScheduler, RefreshState
 from repro.dram.simulator import (
     InterleaverSimResult,
     simulate_interleaver,
@@ -108,6 +108,7 @@ __all__ = [
     "REFRESH_PER_BANK",
     "RefreshEvent",
     "RefreshScheduler",
+    "RefreshState",
     "RowShiftedMapping",
     "ScheduledCommand",
     "CommandTape",

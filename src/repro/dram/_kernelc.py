@@ -1,16 +1,19 @@
 """Native backend for the batch-advance scheduling kernel.
 
 The kernel's hot loop (:mod:`repro.dram.kernel`) is this compiled
-*segment loop*.  It runs the eval / commit / arbitrate / pop / admit
-cycle over the flat int64 state tables and returns to Python only at
-**refresh boundaries** (and when the fixed-size command-record tape
-needs draining), so the Python :class:`~repro.dram.refresh.RefreshScheduler`
-is never duplicated: the wrapper in :mod:`repro.dram.kernel` applies
-refresh events on the same arrays the compiled code mutates and
-re-enters the segment.  The loop carries every rule set of the general
-engine: the auto-close streak cap (closed-page, FR-FCFS-cap) and, for
-mixed sources, the tRTW/tWTR direction-turnaround rules.  It records
-the shared command codes of :mod:`repro.dram.commands` directly.
+*segment loop*.  One call runs a whole phase over the flat int64 state
+tables: the initial intake, then the admit / refresh / eval / commit /
+arbitrate / pop cycle until the queues drain.  It returns to Python
+early only when the fixed-size command-record tape needs draining, and
+then only between commands or refresh events, so the wrapper drains it
+and re-enters.  The loop carries every rule set of the general engine:
+refresh (REFab over every bank or REFpb round-robin, from the interval,
+duration and mode config slots and the next-deadline and next-bank
+scalar slots, which the wrapper reads from and writes back to the
+:class:`~repro.dram.refresh.RefreshScheduler` it mirrors), the
+auto-close streak cap (closed-page, FR-FCFS-cap) and, for mixed
+sources, the tRTW/tWTR direction-turnaround rules.  It records the
+shared command codes of :mod:`repro.dram.commands` directly.
 
 The object is built from one translation unit with the system C
 compiler at first use (cached per source hash under the user's temp
@@ -47,35 +50,42 @@ import warnings
 from shutil import which
 from typing import Callable, Optional
 
-from repro.dram.commands import CODE_ACT, CODE_PRE, CODE_RD, CODE_WR
+from repro.dram.commands import (CODE_ACT, CODE_PRE, CODE_RD, CODE_REF_ALL,
+                                 CODE_REF_BANK, CODE_WR)
 
 #: Scalar-slot indices shared with the C side (keep in sync with the
 #: ``S_*`` enum in :data:`SOURCE`).  ``S_LAST_DIR`` is -1 before the
 #: first CAS of a mixed run, then 1 (read) or 0 (write).
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
- S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
- S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
+ S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_REF_DEADLINE, S_REF_BANK,
+ S_REFS, S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
  S_WRITES, S_TURNAROUNDS, S_LAST_DIR, S_LAST_RD_CMD, S_LAST_WR_DATA_END,
- S_LAST_WR_BG) = range(28)
-N_SCALARS = 28
+ S_LAST_WR_BG) = range(29)
+N_SCALARS = 29
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
 #: ``C_CAP`` is the auto-close row-hit streak cap (0 = rows stay open);
 #: ``C_MIXED`` selects the per-request direction column and the
-#: turnaround rules.
+#: turnaround rules; ``C_REF_MODE`` is one of the ``REF_*`` modes below,
+#: with the interval ``C_TREFI`` and the per-event duration ``C_TRFC``.
 (C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
  C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
  C_IS_READ, C_CL, C_CWL, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
  C_RECORD, C_N, C_REC_CAP, C_CAP, C_MIXED, C_TRTW, C_TWTR_S,
- C_TWTR_L) = range(28)
-N_CFG = 28
+ C_TWTR_L, C_REF_MODE, C_TREFI, C_TRFC) = range(31)
+N_CFG = 31
+
+#: Refresh modes (``C_REF_MODE``): refresh off, REFab over every bank,
+#: REFpb over one bank in round-robin order.
+REF_OFF = 0
+REF_ALL_BANK = 1
+REF_PER_BANK = 2
 
 #: Segment-exit reasons returned by ``run_segment``.
 EXIT_DONE = 0
-EXIT_REFRESH = 1
-EXIT_RECORD_FULL = 2
-EXIT_DEADLOCK = 3
+EXIT_RECORD_FULL = 1
+EXIT_DEADLOCK = 2
 
 SOURCE = r"""
 #include <stdint.h>
@@ -85,8 +95,8 @@ SOURCE = r"""
 
 enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
   S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
-  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
-  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
+  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_REF_DEADLINE, S_REF_BANK,
+  S_REFS, S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_READS,
   S_WRITES, S_TURNAROUNDS, S_LAST_DIR, S_LAST_RD_CMD, S_LAST_WR_DATA_END,
   S_LAST_WR_BG };
 
@@ -94,14 +104,17 @@ enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
   C_IS_READ, C_CL, C_CWL, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
   C_RECORD, C_N, C_REC_CAP, C_CAP, C_MIXED, C_TRTW, C_TWTR_S,
-  C_TWTR_L };
+  C_TWTR_L, C_REF_MODE, C_TREFI, C_TRFC };
 
-enum { EXIT_DONE, EXIT_REFRESH, EXIT_RECORD_FULL, EXIT_DEADLOCK };
+enum { REF_OFF, REF_ALL_BANK, REF_PER_BANK };
+
+enum { EXIT_DONE, EXIT_RECORD_FULL, EXIT_DEADLOCK };
 
 /* Recorded command codes: repro.dram.commands.CODE_OF, substituted
  * before compiling. */
 enum { CMD_ACT = @CODE_ACT@, CMD_PRE = @CODE_PRE@, CMD_RD = @CODE_RD@,
-  CMD_WR = @CODE_WR@ };
+  CMD_WR = @CODE_WR@, CMD_REF_ALL = @CODE_REF_ALL@,
+  CMD_REF_BANK = @CODE_REF_BANK@ };
 
 /* Python floor-mod quantization: round v up to the command-clock grid.
  * C's % truncates toward zero; Python's floors, and the issue-slot
@@ -175,6 +188,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t trtw = cfg[C_TRTW];
     const int64_t twtr_s = cfg[C_TWTR_S];
     const int64_t twtr_l = cfg[C_TWTR_L];
+    const int64_t ref_mode = cfg[C_REF_MODE];
+    const int64_t trefi = cfg[C_TREFI];
+    const int64_t trfc = cfg[C_TRFC];
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -191,8 +207,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t acts = sc[S_ACTS];
     int64_t pres = sc[S_PRES];
     int64_t rescan_all = sc[S_RESCAN_ALL];
-    const int64_t have_deadline = sc[S_HAVE_DEADLINE];
-    const int64_t deadline = sc[S_DEADLINE];
+    int64_t ref_deadline = sc[S_REF_DEADLINE];
+    int64_t ref_bank = sc[S_REF_BANK];
+    int64_t refs = sc[S_REFS];
     int64_t ready_count = sc[S_READY_COUNT];
     int64_t heap_size = sc[S_HEAP_SIZE];
     int64_t fresh_count = sc[S_FRESH_COUNT];
@@ -208,9 +225,66 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t exit_reason = EXIT_DONE;
 
     for (;;) {
+        /* ---- admission: the stream head enters the queue window
+         * until it is full or the head's bank FIFO is at its depth.
+         * The first pass is the phase's initial intake; a re-entry
+         * after a tape drain admits nothing, since every iteration
+         * ends with the window at this fixed point. ---------------- */
+        while (queued < queue_depth && pos < nreq) {
+            int64_t b = banks[pos];
+            if (adm[b] - head[b] >= per_bank_depth) break;
+            if (adm[b] == head[b]) {
+                bstate[b] = 1;
+                fresh[fresh_count++] = b;
+            }
+            adm[b]++; pos++; queued++;
+        }
         if (!queued) { exit_reason = EXIT_DONE; break; }
-        if (have_deadline && last_cas >= deadline) {
-            exit_reason = EXIT_REFRESH; break;
+
+        /* ---- refresh: every deadline the last CAS has reached, in
+         * order (one CAS gap can jump several).  REFab precharges
+         * every open bank, REFpb the round-robin bank; the REF issues
+         * once they are all precharged, quantized, and blocks their
+         * activations for tRFC.  An event records at most n_banks
+         * PREs and its REF; the tape drains between events, never
+         * inside one. ----------------------------------------------- */
+        while (ref_mode != REF_OFF && last_cas >= ref_deadline) {
+            if (do_record && rec_cap - rec_count < n_banks + 1) break;
+            int64_t first = 0, end = n_banks;
+            if (ref_mode == REF_PER_BANK) {
+                first = ref_bank; end = first + 1;
+                ref_bank = (ref_bank + 1) % n_banks;
+            }
+            int64_t ref_time = ref_deadline;
+            ref_deadline += trefi;
+            for (int64_t b = first; b < end; b++) {
+                int64_t bank_free_at = act_allowed[b];
+                if (open_row[b] >= 0) {
+                    int64_t t_pre = pre_allowed[b];
+                    if (quant) t_pre = quantize(t_pre, tck);
+                    if (do_record) RECORD(t_pre, CMD_PRE, b, -1, -1, -1);
+                    pres++;
+                    open_row[b] = -1;
+                    bank_free_at = t_pre + trp;
+                }
+                if (bank_free_at > ref_time) ref_time = bank_free_at;
+            }
+            if (quant) ref_time = quantize(ref_time, tck);
+            for (int64_t b = first; b < end; b++) {
+                if (bstate[b] == 2) { bstate[b] = 1; ready_count--; }
+                act_allowed[b] = ref_time + trfc;
+            }
+            rescan_all = 1;  /* cached deferral times are stale now */
+            refs++;
+            if (do_record) {
+                if (ref_mode == REF_ALL_BANK)
+                    RECORD(ref_time, CMD_REF_ALL, -1, -1, -1, -1);
+                else
+                    RECORD(ref_time, CMD_REF_BANK, first, -1, -1, -1);
+            }
+        }
+        if (ref_mode != REF_OFF && last_cas >= ref_deadline) {
+            exit_reason = EXIT_RECORD_FULL; break;
         }
         /* One iteration records at most 2 * n_banks + 2 commands: a
          * PRE/ACT pair per committed bank, the CAS and its auto-PRE. */
@@ -481,26 +555,6 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             open_row[chosen] = -1;
             act_allowed[chosen] = t_pre + trp;
         }
-        if (pos < nreq && queued == queue_depth - 1) {
-            int64_t b = banks[pos];
-            if (adm[b] - head[b] < per_bank_depth) {
-                if (adm[b] == head[b]) {
-                    bstate[b] = 1;
-                    fresh[fresh_count++] = b;
-                }
-                adm[b]++; pos++; queued++;
-            }
-        } else {
-            while (queued < queue_depth && pos < nreq) {
-                int64_t b = banks[pos];
-                if (adm[b] - head[b] >= per_bank_depth) break;
-                if (adm[b] == head[b]) {
-                    bstate[b] = 1;
-                    fresh[fresh_count++] = b;
-                }
-                adm[b]++; pos++; queued++;
-            }
-        }
     }
 
     sc[S_LAST_CAS] = last_cas;
@@ -518,6 +572,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     sc[S_ACTS] = acts;
     sc[S_PRES] = pres;
     sc[S_RESCAN_ALL] = rescan_all;
+    sc[S_REF_DEADLINE] = ref_deadline;
+    sc[S_REF_BANK] = ref_bank;
+    sc[S_REFS] = refs;
     sc[S_READY_COUNT] = ready_count;
     sc[S_HEAP_SIZE] = heap_size;
     sc[S_FRESH_COUNT] = fresh_count;
@@ -533,7 +590,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
 }
 """
 for _placeholder, _code in (("@CODE_ACT@", CODE_ACT), ("@CODE_PRE@", CODE_PRE),
-                            ("@CODE_RD@", CODE_RD), ("@CODE_WR@", CODE_WR)):
+                            ("@CODE_RD@", CODE_RD), ("@CODE_WR@", CODE_WR),
+                            ("@CODE_REF_ALL@", CODE_REF_ALL),
+                            ("@CODE_REF_BANK@", CODE_REF_BANK)):
     SOURCE = SOURCE.replace(_placeholder, str(_code))
 
 #: Arguments of ``run_segment``, every one an ``int64_t *``.

@@ -626,7 +626,11 @@ class SchedulingEngine:
                             f"request #{loaded + k} (bank={bank}, row={rows[k]}, "
                             f"column={cols[k]}): bank out of range [0, {n_banks})"
                         )
-            order = np.argsort(banks_arr, kind="stable")
+            # In range, so the narrowest unsigned key holds every bank
+            # id; NumPy radix-sorts such keys, same permutation.
+            order = np.argsort(
+                banks_arr.astype(np.min_scalar_type(n_banks - 1)),
+                kind="stable")
             counts = np.bincount(banks_arr, minlength=n_banks)
             starts = np.empty(n_banks, dtype=np.int64)
             starts[0] = 0

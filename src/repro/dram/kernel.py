@@ -21,7 +21,8 @@ discipline while producing **bit-identical** schedules:
 
 * **columnar intake** — the whole request stream is materialized up
   front into flat NumPy int64 columns, validated and partitioned per
-  bank in bulk (stable argsort + bincount prefix sums), so the
+  bank in bulk (a stable radix argsort of the bank ids as the
+  narrowest unsigned integers + bincount prefix sums), so the
   scheduling loop reads flat timestamp/queue tables and never builds a
   Python tuple per request;
 * **timestamp table** — per-bank next-ready timestamps
@@ -45,11 +46,14 @@ discipline while producing **bit-identical** schedules:
   count column accesses per bank since its ACT; the CAS reaching the
   cap closes the row with a PRE at its precharge-ready time, in the
   general engine's order;
-* **compiled segment loop** — the eval / commit / arbitrate / pop /
-  admit cycle runs as a single compiled loop over the same int64
-  tables, returning to Python only at refresh boundaries, so the
-  Python :class:`~repro.dram.refresh.RefreshScheduler` stays the one
-  source of refresh truth.
+* **one compiled call per phase** — the admit / refresh / eval /
+  commit / arbitrate / pop cycle, the initial intake included, runs
+  as a single compiled loop over the same int64 tables.  It applies
+  REFab and REFpb itself from the
+  :class:`~repro.dram.refresh.RefreshScheduler`'s interval, duration,
+  next deadline and round-robin bank, and hands the advanced deadline
+  and bank back to that object at the end of the phase.  It returns
+  to Python early only to have a full command-record buffer drained.
 
 Eager row management is byte-for-byte the general engine's: misses and
 empties park in the same deferred-activation structure with fixed
@@ -81,8 +85,7 @@ from numpy.typing import NDArray
 
 from repro.dram import _kernelc
 from repro.dram.bank import BankSnapshot
-from repro.dram.commands import (CODE_PRE, CODE_REF_ALL, CODE_REF_BANK,
-                                 CommandType, TapeBuilder)
+from repro.dram.commands import CommandType, TapeBuilder
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
                                _PartitionedSource)
@@ -93,6 +96,7 @@ from repro.dram.policy import (
     partition_banks,
 )
 from repro.dram.presets import REFRESH_ALL_BANK, DramConfig
+from repro.dram.refresh import RefreshState
 from repro.dram.stats import EnergyTally, PhaseStats
 
 if TYPE_CHECKING:
@@ -171,10 +175,10 @@ class KernelEngine:
 
         Returns ``(banks, rows, columns, directions)``; directions
         (1 = read, 0 = write) are filled for mixed sources only and are
-        an empty column, which the loop never reads, otherwise.  Batch boundaries are invisible to
-        scheduling, so concatenating them up front is observationally
-        equivalent to the general engine's incremental loads for any
-        valid stream.
+        an empty column, which the loop never reads, otherwise.  Batch
+        boundaries are invisible to scheduling, so concatenating them
+        up front is observationally equivalent to the general engine's
+        incremental loads for any valid stream.
         """
         mixed = source.mixed
         parts: Tuple[List[NDArray[np.int64]], ...] = ([], [], [], [])
@@ -211,13 +215,15 @@ class KernelEngine:
         (closed-page, FR-FCFS-cap) and, for mixed sources, the
         turnaround rules are rule sets of the loop itself.
 
-        The C side owns the eval / commit / arbitrate / pop / admit
-        cycle over flat int64 state tables and returns control at
-        refresh boundaries; this wrapper applies refresh events (the
-        exact general-engine block, on the same arrays) and re-enters.
-        State is copied from the shared per-bank lists on entry and
-        written back on exit, so a later phase on either engine sees
-        the same warm bank state.
+        One C call runs the phase: intake, refresh (REFab or REFpb,
+        with the shared refresh scheduler's state in scalar slots) and
+        the eval / commit / arbitrate / pop cycle over flat int64 state
+        tables.  The call returns early only when the fixed-size
+        command-record buffer fills; this wrapper drains it and
+        re-enters, so a phase costs one call plus one per drain.  Bank
+        state is copied from the shared per-bank lists on entry and the
+        bank and refresh state are written back on exit, so a later
+        phase on either engine sees the same warm state.
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
@@ -239,10 +245,8 @@ class KernelEngine:
         timing = config.timing
         burst = config.burst_duration_ps
         tck = timing.tck if burst % timing.tck == 0 else 1
-        quant = tck > 1
         is_read = op == OP_READ
         n_banks = self._banks
-        trp = timing.trp
         record = policy.record_commands
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
@@ -258,7 +262,10 @@ class KernelEngine:
                     f"row={int(rows_arr[k])}, column={int(cols_arr[k])}): "
                     f"bank out of range [0, {n_banks})"
                 )
-        qseqs = np.argsort(banks_arr, kind="stable").astype(np.int64)
+        # Bank ids are in range, so the narrowest unsigned key holds
+        # them; NumPy radix-sorts such keys, with the same permutation.
+        qseqs = np.argsort(banks_arr.astype(np.min_scalar_type(n_banks - 1)),
+                           kind="stable").astype(np.int64, copy=False)
         counts = np.bincount(banks_arr, minlength=n_banks)
         qstart = np.zeros(n_banks, dtype=np.int64)
         np.cumsum(counts[:-1], out=qstart[1:])
@@ -273,8 +280,7 @@ class KernelEngine:
         pre_allowed = np.array(self._pre_allowed, dtype=np.int64)
         act_allowed = np.array(self._act_allowed, dtype=np.int64)
         streak = np.zeros(n_banks, dtype=np.int64)
-        bg_of = np.array([b % self._bank_groups for b in range(n_banks)],
-                         dtype=np.int64)
+        bg_of = np.arange(n_banks, dtype=np.int64) % self._bank_groups
         last_cas_bg = np.full(self._bank_groups, _FAR_PAST, dtype=np.int64)
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
@@ -293,13 +299,14 @@ class KernelEngine:
         sc[_kernelc.S_LAST_RD_CMD] = _FAR_PAST
         sc[_kernelc.S_LAST_WR_DATA_END] = _FAR_PAST
         sc[_kernelc.S_LAST_WR_BG] = -1
+        sc[_kernelc.S_REF_DEADLINE], sc[_kernelc.S_REF_BANK] = refresh.state()
 
         cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
         cfg[_kernelc.C_N_BANKS] = n_banks
         cfg[_kernelc.C_BANK_GROUPS] = self._bank_groups
         cfg[_kernelc.C_TCK] = tck
-        cfg[_kernelc.C_QUANT] = 1 if quant else 0
-        cfg[_kernelc.C_TRP] = trp
+        cfg[_kernelc.C_QUANT] = 1 if tck > 1 else 0
+        cfg[_kernelc.C_TRP] = timing.trp
         cfg[_kernelc.C_TRCD] = timing.trcd
         cfg[_kernelc.C_TRAS] = timing.tras
         cfg[_kernelc.C_TRRD_S] = timing.trrd_s
@@ -323,26 +330,14 @@ class KernelEngine:
         cfg[_kernelc.C_TRTW] = timing.trtw
         cfg[_kernelc.C_TWTR_S] = timing.twtr_s
         cfg[_kernelc.C_TWTR_L] = timing.twtr_l
-
-        # Initial intake (the general engine's intake(), on the arrays).
-        banks_head: List[int] = banks_arr[
-            :min(n, policy.queue_depth * 2)].tolist()
-        pos = queued = 0
-        fresh_count = 0
-        while queued < policy.queue_depth and pos < n:
-            b = banks_head[pos]
-            if int(adm[b] - head[b]) >= policy.per_bank_depth:
-                break
-            if adm[b] == head[b]:
-                bstate[b] = 1
-                fresh[fresh_count] = b
-                fresh_count += 1
-            adm[b] += 1
-            pos += 1
-            queued += 1
-        sc[_kernelc.S_POS] = pos
-        sc[_kernelc.S_QUEUED] = queued
-        sc[_kernelc.S_FRESH_COUNT] = fresh_count
+        if not refresh.enabled:
+            cfg[_kernelc.C_REF_MODE] = _kernelc.REF_OFF
+        elif all_bank_refresh:
+            cfg[_kernelc.C_REF_MODE] = _kernelc.REF_ALL_BANK
+        else:
+            cfg[_kernelc.C_REF_MODE] = _kernelc.REF_PER_BANK
+        cfg[_kernelc.C_TREFI] = refresh.interval_ps
+        cfg[_kernelc.C_TRFC] = refresh.duration_ps
 
         # Every argument is a C-contiguous int64 array that stays alive
         # for the whole run.
@@ -353,89 +348,25 @@ class KernelEngine:
             commit, rec)]
 
         tape = TapeBuilder()
-        ref_code = CODE_REF_ALL if all_bank_refresh else CODE_REF_BANK
 
-        def drain_tape(rec_count: int) -> int:
-            """Move the first ``rec_count`` record rows out; the new count."""
+        def drain_tape() -> None:
+            """Move the recorded rows out and empty the record buffer."""
+            rec_count = int(sc[_kernelc.S_REC_COUNT])
             if rec_count:
                 tape.add_rows(rec[:rec_count * 6].copy())
-            return 0
+            sc[_kernelc.S_REC_COUNT] = 0
 
-        refs_total = 0
-        deadline = refresh.next_deadline_ps
-        # The C side owns termination (it returns EXIT_DONE once the
-        # queues drain); this loop only services its exit reasons.
-        while queued:
-            sc[_kernelc.S_HAVE_DEADLINE] = 0 if deadline is None else 1
-            sc[_kernelc.S_DEADLINE] = 0 if deadline is None else deadline
+        # One call runs the whole phase; the loop returns early only
+        # to have its full record buffer drained.
+        while True:
             reason = run_segment(*args)
             if reason == _kernelc.EXIT_DONE:
                 break
             if reason == _kernelc.EXIT_DEADLOCK:
                 raise RuntimeError("scheduler deadlock: no prepared bank head")
-            if reason == _kernelc.EXIT_RECORD_FULL:
-                sc[_kernelc.S_REC_COUNT] = drain_tape(
-                    int(sc[_kernelc.S_REC_COUNT]))
-                continue
-            # ---- refresh boundary: the general engine's block, on the
-            # shared arrays (the scheduler object advances its own
-            # deadline state, exactly as in the general engine) -------
-            last_cas = int(sc[_kernelc.S_LAST_CAS])
-            rec_count = int(sc[_kernelc.S_REC_COUNT])
-            pres = int(sc[_kernelc.S_PRES])
-            while deadline is not None and last_cas >= deadline:
-                event = refresh.due(last_cas)
-                if event is None:
-                    break
-                if record and rec_cap - rec_count < n_banks + 2:
-                    rec_count = drain_tape(rec_count)
-                ref_time = event.deadline_ps
-                for b in event.banks:
-                    if open_arr[b] >= 0:
-                        t_pre = int(pre_allowed[b])
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        if record:
-                            rec[rec_count * 6:rec_count * 6 + 6] = (
-                                t_pre, CODE_PRE, b, -1, -1, -1)
-                            rec_count += 1
-                        pres += 1
-                        open_arr[b] = -1
-                        bank_free_at = t_pre + trp
-                    else:
-                        bank_free_at = int(act_allowed[b])
-                    if bank_free_at > ref_time:
-                        ref_time = bank_free_at
-                if quant:
-                    remainder = ref_time % tck
-                    if remainder:
-                        ref_time += tck - remainder
-                for b in event.banks:
-                    open_arr[b] = -1
-                    if bstate[b] == 2:
-                        bstate[b] = 1
-                        sc[_kernelc.S_READY_COUNT] -= 1
-                    act_allowed[b] = ref_time + event.duration_ps
-                sc[_kernelc.S_RESCAN_ALL] = 1
-                refs_total += 1
-                if record:
-                    rec[rec_count * 6:rec_count * 6 + 6] = (
-                        ref_time, ref_code,
-                        -1 if all_bank_refresh else event.banks[0],
-                        -1, -1, -1)
-                    rec_count += 1
-                deadline = refresh.next_deadline_ps
-            sc[_kernelc.S_PRES] = pres
-            sc[_kernelc.S_REC_COUNT] = rec_count
-            if deadline is not None and last_cas >= deadline:
-                # due() declined with the deadline in the past — only
-                # its defensive disabled-guard path.  The deadline can
-                # never fire for the rest of the run, so stop asking
-                # (the general engine re-asks and re-breaks each
-                # iteration with the same observable outcome).
-                deadline = None
+            drain_tape()
+        refresh.restore(RefreshState(int(sc[_kernelc.S_REF_DEADLINE]),
+                                     int(sc[_kernelc.S_REF_BANK])))
 
         # ---- finalize: stats, commands, shared-state writeback ---------
         n_requests = int(sc[_kernelc.S_N_REQUESTS])
@@ -444,7 +375,7 @@ class KernelEngine:
         empties = int(sc[_kernelc.S_EMPTIES])
         acts = int(sc[_kernelc.S_ACTS])
         pres = int(sc[_kernelc.S_PRES])
-        refs = refs_total
+        refs = int(sc[_kernelc.S_REFS])
         last_data_end = int(sc[_kernelc.S_LAST_DATA_END])
 
         self._open_row[:] = [
@@ -455,7 +386,7 @@ class KernelEngine:
         self._act_allowed[:] = act_allowed.tolist()
 
         if record:
-            drain_tape(int(sc[_kernelc.S_REC_COUNT]))
+            drain_tape()
         commands = tape.build()
 
         stats = PhaseStats()

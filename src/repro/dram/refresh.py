@@ -14,15 +14,22 @@ Two policies cover the five standards in the paper:
   ~100 % DDR5/LPDDR5 results).
 
 The policy objects only decide *which* banks to quiesce and *when*; the
-controller applies the timing.  Refresh can be disabled entirely, which
-is legal whenever interleaver data lives shorter than the DRAM retention
-period (32–64 ms) — the paper's ">99 % consistently" experiment.
+scheduler applies the timing.  :class:`RefreshScheduler` is the general
+engine's refresh source and the oracle for the native segment loop
+(:mod:`repro.dram._kernelc`), which carries the same two rules as
+config and state slots: the kernel reads
+:meth:`RefreshScheduler.state` on entry to a phase and writes it back
+with :meth:`RefreshScheduler.restore` on exit, so the next phase on
+either scheduler sees the same next deadline and round-robin bank.
+Refresh can be disabled entirely, which is legal whenever interleaver
+data lives shorter than the DRAM retention period (32–64 ms) — the
+paper's ">99 % consistently" experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.dram.presets import REFRESH_ALL_BANK, REFRESH_PER_BANK, DramConfig
 
@@ -43,15 +50,37 @@ class RefreshEvent:
     duration_ps: int
 
 
+class RefreshState(NamedTuple):
+    """Where a refresh event stream stands between phases.
+
+    Attributes:
+        next_deadline_ps: nominal time of the next refresh.
+        next_bank: the bank the next per-bank refresh targets (stays 0
+            under all-bank refresh).
+    """
+
+    next_deadline_ps: int
+    next_bank: int
+
+
 class RefreshScheduler:
     """Generates the refresh event stream for one configuration.
 
     Args:
         config: the DRAM configuration (interval/duration/policy).
         enabled: when ``False``, :meth:`due` never fires.
+
+    Raises:
+        ValueError: refresh is enabled and the interval (tREFI) is not
+            positive; the deadline could never advance.
     """
 
     def __init__(self, config: DramConfig, enabled: bool = True) -> None:
+        if enabled and config.timing.trefi <= 0:
+            raise ValueError(
+                f"{config.name}: refresh is enabled but tREFI is "
+                f"{config.timing.trefi} ps; it must be positive "
+                f"(or disable refresh)")
         self.config = config
         self.enabled = enabled
         self._interval = config.timing.trefi
@@ -61,6 +90,30 @@ class RefreshScheduler:
             self._duration = config.timing.trfc_pb
         else:
             self._duration = config.timing.trfc
+
+    @property
+    def interval_ps(self) -> int:
+        """Time between consecutive refresh deadlines (tREFI)."""
+        return self._interval
+
+    @property
+    def duration_ps(self) -> int:
+        """Time one event blocks its banks (tRFC, or tRFCpb per bank)."""
+        return self._duration
+
+    def state(self) -> RefreshState:
+        """The next deadline and round-robin bank (see :meth:`restore`)."""
+        return RefreshState(self._next_deadline, self._rr_bank)
+
+    def restore(self, state: RefreshState) -> None:
+        """Continue the event stream from ``state``.
+
+        Used by a scheduler that applied the events itself (the native
+        segment loop) to leave this object exactly where :meth:`due`
+        calls would have.
+        """
+        self._next_deadline = state.next_deadline_ps
+        self._rr_bank = state.next_bank
 
     @property
     def next_deadline_ps(self) -> Optional[int]:

@@ -1,10 +1,13 @@
 """Per-rule fixture snippets: exact (rule, line, col) per finding."""
 
+import importlib
+import inspect
 import textwrap
 
 import pytest
 
 from repro.analysis import analyze_source
+from repro.analysis.rules_quality import HOT_PATHS
 
 
 def _lint(source, **kwargs):
@@ -401,6 +404,33 @@ class TestR005HotLoop:
                             x = {1, 2}
             ''', module=self.HOT, path="src/repro/dram/engine.py")
         assert _triples(findings) == [("R005", 9, 20)]
+
+
+def _resolve(dotted):
+    """The object a ``module.Class.function`` name points at, or None."""
+    parts = dotted.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            obj = getattr(obj, name, None)
+        return obj
+    return None
+
+
+class TestHotPathRegistry:
+    """R005 checks only the names it is given, so a stale name silently
+    leaves a hot loop unchecked."""
+
+    @pytest.mark.parametrize("qualname", sorted(HOT_PATHS))
+    def test_key_resolves_to_a_function(self, qualname):
+        assert inspect.isfunction(_resolve(qualname)), (
+            f"HOT_PATHS names {qualname!r}, which is not a function")
+
+    def test_stale_name_is_detected(self):
+        assert _resolve("repro.dram.kernel.KernelEngine._run_native") is None
 
 
 class TestR006Docstrings:

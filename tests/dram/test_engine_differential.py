@@ -23,6 +23,7 @@ reproducible case.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.geometry import Geometry
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 
@@ -204,5 +206,30 @@ def test_multi_entry_deferred_commit_matches_reference(scheduler_backend):
         iter(requests), OP_READ)
     reference_result = reference_run_phase(config, list(requests),
                                            OP_READ, policy)
+    assert engine_result.stats == reference_result.stats
+    assert engine_result.commands == reference_result.commands
+
+
+@pytest.mark.parametrize("op", (OP_READ, OP_WRITE))
+def test_partition_beyond_256_banks_matches_reference(scheduler_backend, op):
+    """Bank ids above 255 need a uint16 partition key (a uint8 one would
+    wrap them onto low banks); columnar chunks past the bulk-partition
+    threshold take the sorted path on both schedulers."""
+    base = get_config("DDR4-3200")
+    geometry = Geometry(bank_groups=4, banks_per_group=128, rows=16,
+                        columns=64, bus_width_bits=64, burst_length=8)
+    config = replace(base, name="WIDE-512", geometry=geometry)
+    n_banks = geometry.banks
+    assert n_banks > 256
+    rng = random.Random(0x512)
+    requests = [(rng.randrange(n_banks), rng.randrange(4), rng.randrange(8))
+                for _ in range(3000)]
+    assert max(bank for bank, _, _ in requests) >= 256
+    policy = ControllerConfig(queue_depth=128, per_bank_depth=4,
+                              record_commands=True)
+    engine_result = MemoryController(config, policy).run_phase(
+        _as_chunks(requests, 1000), op)
+    reference_result = reference_run_phase(config, list(requests), op,
+                                            policy)
     assert engine_result.stats == reference_result.stats
     assert engine_result.commands == reference_result.commands

@@ -8,7 +8,10 @@ on every Table I (configuration, mapping) pair, in both phases, and on
 geometries beyond the Table I devices, under every discipline and for
 mixed read/write sources, which all run in the compiled loop; its
 schedules must independently satisfy the JEDEC replay checker
-(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  The
+(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  Refresh
+runs inside the compiled loop, so both refresh modes are also driven
+at short intervals, and each phase must cost one compiled call plus
+one per record-tape drain.  The
 selection itself
 (:func:`~repro.dram.kernel.make_scheduler`) is covered with the native
 object both present and forced absent, including a failed build.
@@ -30,7 +33,8 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
-from repro.dram.commands import CODE_ACT, CODE_PRE, CODE_RD, CODE_WR
+from repro.dram.commands import (CODE_ACT, CODE_PRE, CODE_RD, CODE_REF_ALL,
+                                 CODE_REF_BANK, CODE_WR)
 from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
 from repro.dram.geometry import Geometry
 from repro.dram.kernel import KernelEngine, make_scheduler
@@ -38,7 +42,8 @@ from repro.dram.mixed import (RowShiftedMapping, interleaved_stream,
                               steady_state_interleaver)
 from repro.dram.policy import (POLICY_BANK_PARTITION, POLICY_CLOSED_PAGE,
                                POLICY_FRFCFS_CAP, POLICY_OPEN_PAGE)
-from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
+from repro.dram.presets import (REFRESH_ALL_BANK, REFRESH_PER_BANK,
+                                TABLE1_CONFIG_NAMES, get_config)
 from repro.dram.simulator import simulate_phase_result
 from repro.dram.trace import check_phase_commands
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -505,6 +510,250 @@ class TestRecordTape:
         assert {CODE_RD, CODE_WR, CODE_PRE, CODE_ACT} <= codes
         assert kernel.stats.refreshes > 0
         assert len(kernel.commands) > 8 * (tape_rows + 2 * ddr4.geometry.banks)
+
+
+#: Short refresh intervals with a refresh cycle shorter than the
+#: interval: deadlines fall everywhere in a phase, and a row cycle
+#: (tRP + tRCD, about 28 ns on DDR4-3200) spans several of them.
+REFRESH_TIMINGS = {"medium": (20_000, 5_000), "dense": (3_000, 1_000)}
+
+REFRESH_MODES = (REFRESH_ALL_BANK, REFRESH_PER_BANK)
+
+
+def _refresh_config(mode, trefi, trfc, base="DDR4-3200"):
+    """``base`` with the given refresh mode, tREFI and tRFC (= tRFCpb)."""
+    config = get_config(base)
+    timing = replace(config.timing, trefi=trefi, trfc=trfc, trfc_pb=trfc)
+    return replace(config, timing=timing, refresh_mode=mode)
+
+
+def _ref_contexts(commands):
+    """Where the refreshes of a recorded schedule fell.
+
+    ``streak``: the CAS before the REF and the next one hit the same
+    bank and row; ``turnaround``: those two CAS differ in direction;
+    ``jump``: two REFs with no CAS between them (one CAS gap passed
+    both deadlines).
+    """
+    codes = commands.code.tolist()
+    banks = commands.bank.tolist()
+    rows = commands.row.tolist()
+    found = set()
+    last_cas = None
+    pending_ref = False
+    for i, code in enumerate(codes):
+        if code in (CODE_REF_ALL, CODE_REF_BANK):
+            if pending_ref:
+                found.add("jump")
+            pending_ref = True
+        elif code in (CODE_RD, CODE_WR):
+            if pending_ref and last_cas is not None:
+                if (banks[last_cas], rows[last_cas]) == (banks[i], rows[i]):
+                    found.add("streak")
+                if codes[last_cas] != code:
+                    found.add("turnaround")
+            pending_ref = False
+            last_cas = i
+    return found
+
+
+@pytest.fixture
+def drained_blocks(monkeypatch):
+    """Every block of record rows the kernel drains, as ``(k, 6)`` rows."""
+    blocks = []
+    real_add_rows = kernel_module.TapeBuilder.add_rows
+
+    def spy(builder, rows):
+        blocks.append(rows.reshape(-1, 6))
+        return real_add_rows(builder, rows)
+
+    monkeypatch.setattr(kernel_module.TapeBuilder, "add_rows", spy)
+    return blocks
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestNativeRefresh:
+    """REFab and REFpb applied by the compiled loop match the general
+    engine and leave its :class:`~repro.dram.refresh.RefreshScheduler`
+    exactly where the general engine leaves its own."""
+
+    @pytest.mark.parametrize("density", sorted(REFRESH_TIMINGS))
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_deadlines_inside_row_hit_streaks(self, mode, density):
+        config = _refresh_config(mode, *REFRESH_TIMINGS[density])
+        mapping = _mapping(config, "row-major", n=48)
+        general, kernel = _run_engines(config, mapping, OP_READ,
+                                       RECORDING_POLICY)
+        _assert_identical(general, kernel)
+        assert "streak" in _ref_contexts(kernel.commands)
+        assert check_phase_commands(config, kernel.commands) == []
+
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_several_deadlines_in_one_cas_gap(self, mode):
+        config = _refresh_config(mode, *REFRESH_TIMINGS["dense"])
+        mapping = _mapping(config, "optimized", n=24)
+        for op in (OP_WRITE, OP_READ):
+            general, kernel = _run_engines(config, mapping, op,
+                                           RECORDING_POLICY)
+            _assert_identical(general, kernel)
+            assert "jump" in _ref_contexts(kernel.commands)
+
+    @pytest.mark.parametrize("policy", DISCIPLINE_POLICIES,
+                             ids=DISCIPLINE_IDS)
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_deadlines_inside_mixed_turnarounds(self, mode, policy):
+        config = _refresh_config(mode, 10_000, 3_000)
+        requests = _mixed_requests(config, n=24, group=3)
+        general = SchedulingEngine(config, policy).run(MixedSource(requests))
+        kernel = KernelEngine(config, policy).run(MixedSource(requests))
+        _assert_identical(general, kernel)
+        assert "turnaround" in _ref_contexts(kernel.commands)
+
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_deadlines_at_forced_commits(self, mode):
+        """One bank, a new row per request, closed-page: no bank is
+        ever ready when the loop commits, so every ACT is the forced
+        single commit, and refresh deadlines land between them."""
+        config = _refresh_config(mode, *REFRESH_TIMINGS["dense"])
+        policy = ControllerConfig(record_commands=True,
+                                  discipline=POLICY_CLOSED_PAGE)
+        requests = [(0, k % 7, k % 5) for k in range(200)]
+        for op in (OP_WRITE, OP_READ):
+            general = SchedulingEngine(config, policy).run(
+                as_workload(iter(requests)), op)
+            kernel = KernelEngine(config, policy).run(
+                as_workload(iter(requests)), op)
+            _assert_identical(general, kernel)
+            assert kernel.stats.activates == len(requests)
+            assert kernel.stats.refreshes > len(requests)
+
+    @pytest.mark.parametrize("base", ("DDR4-3200", "LPDDR4-4266"))
+    def test_refresh_disabled(self, base):
+        config = _refresh_config(get_config(base).refresh_mode,
+                                 *REFRESH_TIMINGS["dense"], base=base)
+        policy = ControllerConfig(record_commands=True, refresh_enabled=False)
+        mapping = _mapping(config, "row-major", n=24)
+        general, kernel = _run_engines(config, mapping, OP_READ, policy)
+        _assert_identical(general, kernel)
+        assert kernel.stats.refreshes == 0
+        codes = set(kernel.commands.code.tolist())
+        assert not codes & {CODE_REF_ALL, CODE_REF_BANK}
+
+    @pytest.mark.parametrize("refresh_enabled", (True, False),
+                             ids=("refresh-on", "refresh-off"))
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_warm_refresh_state_matches_general(self, mode, refresh_enabled):
+        """Write, mixed and read phases on one warm scheduler: the
+        refresh scheduler's next deadline and round-robin bank and
+        every bank's state match after every phase."""
+        config = _refresh_config(mode, 20_000, 5_000)
+        policy = ControllerConfig(refresh_enabled=refresh_enabled)
+        mapping = _mapping(config, "optimized", n=24)
+        mixed = _mixed_requests(config, n=16, group=3)
+        kernel = KernelEngine(config, policy)
+        general = SchedulingEngine(config, policy)
+        for phase in (OP_WRITE, "mixed", OP_READ, OP_WRITE):
+            if phase == "mixed":
+                results = [engine.run(MixedSource(mixed))
+                           for engine in (general, kernel)]
+            else:
+                results = [engine.run(as_workload(_chunks(mapping, phase)),
+                                      phase)
+                           for engine in (general, kernel)]
+            _assert_identical(*results)
+            assert kernel._refresh.state() == general._refresh.state()
+            assert _snapshots(kernel, config) == _snapshots(general, config)
+            assert (results[1].stats.refreshes > 0) == refresh_enabled
+
+    @pytest.mark.parametrize("tape_rows", (1, 5))
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_refresh_records_cross_tape_drains(self, monkeypatch,
+                                               drained_blocks, mode,
+                                               tape_rows):
+        """The drained blocks concatenate to the general engine's tape,
+        and no refresh event's PREs and REF split across two blocks.
+        Under REFab an event needs up to n_banks + 1 rows, so drains
+        also land right before events."""
+        monkeypatch.setattr(kernel_module, "_TAPE_ROWS", tape_rows)
+        config = _refresh_config(mode, *REFRESH_TIMINGS["dense"])
+        mapping = _mapping(config, "row-major", n=24)
+        general, kernel = _run_engines(config, mapping, OP_READ,
+                                       RECORDING_POLICY)
+        _assert_identical(general, kernel)
+        assert len(drained_blocks) > 8
+        ref_codes = (CODE_REF_ALL, CODE_REF_BANK)
+        opens_with_refresh = 0
+        for block in drained_blocks:
+            codes = block[:, 1].tolist()
+            ref_at = next((i for i, c in enumerate(codes) if c in ref_codes),
+                          None)
+            if ref_at is not None and set(codes[:ref_at]) <= {CODE_PRE}:
+                opens_with_refresh += 1
+            # A block never ends inside a refresh event: the rows after
+            # its last CAS or ACT hold whole events (PREs, then a REF).
+            tail = codes[max((i for i, c in enumerate(codes)
+                              if c in (CODE_RD, CODE_WR, CODE_ACT)),
+                             default=-1) + 1:]
+            if tail and set(tail) != {CODE_PRE}:
+                assert tail[-1] in ref_codes
+        assert opens_with_refresh > 0 or mode == REFRESH_PER_BANK
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestOneCallPerPhase:
+    """A phase costs one ``run_segment`` call plus one per tape drain."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        real = _kernelc.load()
+
+        def counting(*args):
+            reason = real(*args)
+            log.append(reason)
+            return reason
+
+        monkeypatch.setattr(_kernelc, "load", lambda: counting)
+        return log
+
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_quiet_phases_make_one_call(self, calls, mode):
+        config = _refresh_config(mode, *REFRESH_TIMINGS["dense"])
+        mapping = _mapping(config, "optimized", n=32)
+        kernel = KernelEngine(config, ControllerConfig())
+        for op in (OP_WRITE, OP_READ):
+            del calls[:]
+            result = kernel.run(as_workload(_chunks(mapping, op)), op)
+            assert result.stats.refreshes > 100
+            assert calls == [_kernelc.EXIT_DONE]
+        del calls[:]
+        kernel.run(MixedSource(_mixed_requests(config)))
+        assert calls == [_kernelc.EXIT_DONE]
+
+    def test_empty_phase_makes_one_call(self, calls, ddr4):
+        result = KernelEngine(ddr4, ControllerConfig()).run(
+            as_workload([]), OP_READ)
+        assert result.stats.requests == 0
+        assert calls == [_kernelc.EXIT_DONE]
+
+    @pytest.mark.parametrize("tape_rows", (1, 64, 4096))
+    @pytest.mark.parametrize("mode", REFRESH_MODES)
+    def test_recording_adds_one_call_per_drain(self, calls, monkeypatch,
+                                               drained_blocks, mode,
+                                               tape_rows):
+        monkeypatch.setattr(kernel_module, "_TAPE_ROWS", tape_rows)
+        config = _refresh_config(mode, 20_000, 5_000)
+        mapping = _mapping(config, "row-major", n=32)
+        result = KernelEngine(config, RECORDING_POLICY).run(
+            as_workload(_chunks(mapping, OP_READ)), OP_READ)
+        assert result.stats.refreshes > 0
+        # Every early return is a drain; the final drain follows the
+        # last call.
+        assert calls[-1] == _kernelc.EXIT_DONE
+        assert calls[:-1] == [_kernelc.EXIT_RECORD_FULL] * (len(calls) - 1)
+        assert len(calls) == len(drained_blocks)
+        if tape_rows == 1:
+            assert len(calls) > 10
 
 
 @pytest.mark.usefixtures("native_kernel")

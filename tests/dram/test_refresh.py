@@ -1,11 +1,28 @@
 """Refresh scheduling: policy objects and controller integration."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.dram._policy_reference import (reference_policy_run_mixed_phase,
+                                          reference_policy_run_phase)
+from repro.dram._reference import (reference_run_mixed_phase,
+                                   reference_run_phase)
 from repro.dram.commands import CommandType
 from repro.dram.controller import OP_READ, ControllerConfig, MemoryController
-from repro.dram.presets import get_config
-from repro.dram.refresh import RefreshScheduler
+from repro.dram.kernel import make_scheduler
+from repro.dram.policy import POLICY_CLOSED_PAGE
+from repro.dram.presets import REFRESH_ALL_BANK, REFRESH_PER_BANK, get_config
+from repro.dram.refresh import RefreshScheduler, RefreshState
+
+
+#: One all-bank and one per-bank refresh device.
+REFRESH_DEVICES = ("DDR4-3200", "LPDDR4-4266")
+
+
+def _zero_trefi(config_name):
+    config = get_config(config_name)
+    return replace(config, timing=replace(config.timing, trefi=0))
 
 
 class TestScheduler:
@@ -46,6 +63,27 @@ class TestScheduler:
             assert event.duration_ps == config.timing.trfc_pb
         assert banks[: config.geometry.banks] == list(range(config.geometry.banks))
         assert banks[config.geometry.banks] == 0  # wraps around
+
+    @pytest.mark.parametrize("mode", (REFRESH_ALL_BANK, REFRESH_PER_BANK))
+    def test_state_restore_continues_the_stream(self, mode):
+        config = replace(get_config("LPDDR4-2133"), refresh_mode=mode)
+        trefi = config.timing.trefi
+        walked = RefreshScheduler(config)
+        for k in range(1, 6):
+            walked.due(k * trefi)
+        assert walked.state() == RefreshState(6 * trefi,
+                                              5 if mode == REFRESH_PER_BANK
+                                              else 0)
+        resumed = RefreshScheduler(config)
+        resumed.restore(walked.state())
+        assert resumed.state() == walked.state()
+        assert resumed.due(6 * trefi) == walked.due(6 * trefi)
+        assert resumed.state() == walked.state()
+
+    def test_interval_and_duration(self, lpddr4):
+        scheduler = RefreshScheduler(lpddr4)
+        assert scheduler.interval_ps == lpddr4.timing.trefi
+        assert scheduler.duration_ps == lpddr4.timing.trfc_pb
 
     def test_overhead_bound(self, tiny_config):
         scheduler = RefreshScheduler(tiny_config)
@@ -107,3 +145,50 @@ class TestControllerIntegration:
         assert stats.refreshes > 0
         # Page-hit streaming with hidden refresh: utilization stays high.
         assert stats.utilization > 0.95
+
+
+class TestZeroInterval:
+    """tREFI = 0 with refresh on would never advance the deadline; every
+    scheduler used to spin forever on it."""
+
+    @pytest.mark.parametrize("config_name", REFRESH_DEVICES)
+    def test_scheduler_rejects(self, config_name):
+        with pytest.raises(ValueError, match="tREFI"):
+            RefreshScheduler(_zero_trefi(config_name))
+
+    def test_disabled_refresh_accepts(self):
+        scheduler = RefreshScheduler(
+            _zero_trefi("DDR4-3200"), enabled=False)
+        assert scheduler.due(10**12) is None
+
+    @pytest.mark.parametrize("config_name", REFRESH_DEVICES)
+    def test_both_backends_reject(self, scheduler_backend, config_name):
+        config = _zero_trefi(config_name)
+        with pytest.raises(ValueError, match="tREFI"):
+            make_scheduler(config, ControllerConfig())
+        with pytest.raises(ValueError, match="tREFI"):
+            MemoryController(config).run_phase([(0, 0, 0)] * 16, OP_READ)
+
+    def test_both_backends_run_with_refresh_off(self, scheduler_backend):
+        config = _zero_trefi("DDR4-3200")
+        result = MemoryController(
+            config, ControllerConfig(refresh_enabled=False)).run_phase(
+                [(0, 0, c) for c in range(16)], OP_READ)
+        assert result.stats.requests == 16
+        assert result.stats.refreshes == 0
+
+    @pytest.mark.parametrize("config_name", REFRESH_DEVICES)
+    def test_oracles_reject(self, config_name):
+        config = _zero_trefi(config_name)
+        requests = [(0, 0, c) for c in range(16)]
+        with pytest.raises(ValueError, match="tREFI"):
+            reference_run_phase(config, requests, OP_READ)
+        with pytest.raises(ValueError, match="tREFI"):
+            reference_run_mixed_phase(
+                config, [(True, 0, 0, c) for c in range(16)])
+        closed_page = ControllerConfig(discipline=POLICY_CLOSED_PAGE)
+        with pytest.raises(ValueError, match="tREFI"):
+            reference_policy_run_phase(config, requests, OP_READ, closed_page)
+        with pytest.raises(ValueError, match="tREFI"):
+            reference_policy_run_mixed_phase(
+                config, [(True, 0, 0, c) for c in range(16)], closed_page)
