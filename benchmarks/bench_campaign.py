@@ -18,14 +18,22 @@ largest frame, the sparse fade-span sampler behind
 ``error_positions`` must be >= 3x faster than scanning the dense
 ``error_masks`` batch, while returning the same positions and leaving
 the generator in the same state.
+
+A third gate times that sampler's two implementations against each
+other on the same frames and channel: the compiled one
+(:mod:`repro.channel._samplerc`, one C call per batch) must be >= 10x
+faster than the Python dwell loop it replaces on PCG64, again with the
+same positions and end state.
 """
 
 import math
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro.channel import _samplerc
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
@@ -44,6 +52,7 @@ DENSEST_CHANNEL = GilbertElliottParams(p_g2b=0.008 / 0.992 / 90.0,
 LARGEST_FRAME_SYMBOLS = 4704
 SAMPLER_CHUNKS = 8
 SAMPLER_REQUIRED_SPEEDUP = 3.0
+NATIVE_SAMPLER_REQUIRED_SPEEDUP = 10.0
 
 
 def _downlink(triangle_n, seed=3):
@@ -149,6 +158,48 @@ def test_sparse_fade_sampler_speedup(benchmark):
     benchmark.extra_info["speedup"] = round(speedup, 1)
     assert speedup >= SAMPLER_REQUIRED_SPEEDUP, (
         f"sparse fade sampler only {speedup:.1f}x faster than the dense scan")
+
+
+@contextmanager
+def _python_loop():
+    """Force ``error_positions`` onto its Python dwell loop."""
+    real = _samplerc.load
+    _samplerc.load = lambda: None
+    try:
+        yield
+    finally:
+        _samplerc.load = real
+
+
+def _python_sampler_pass():
+    with _python_loop():
+        return _sampler_pass(True)
+
+
+@pytest.mark.paper_artifact("campaign native sampler speedup")
+def test_native_sampler_speedup(benchmark):
+    """The compiled sparse sampler vs the Python dwell loop, same frames."""
+    if not _samplerc.available():
+        pytest.skip("native channel sampler unavailable")
+    native_chunks, native_state = _sampler_pass(True)
+    python_chunks, python_state = _python_sampler_pass()
+    assert native_state == python_state, "generator must end in the same state"
+    for (frames_n, symbols_n), (frames_p, symbols_p) in zip(native_chunks,
+                                                            python_chunks):
+        assert np.array_equal(frames_n, frames_p)
+        assert np.array_equal(symbols_n, symbols_p)
+    benchmark.pedantic(_sampler_pass, args=(True,), rounds=1, iterations=1)
+    if benchmark.disabled:  # smoke runs only check for rot, not timing
+        return
+
+    native_s, python_s = _interleaved_best(
+        (lambda: _sampler_pass(True), _python_sampler_pass), rounds=5)
+    speedup = python_s / native_s
+    benchmark.extra_info["native_ms"] = round(native_s * 1e3, 3)
+    benchmark.extra_info["python_ms"] = round(python_s * 1e3, 2)
+    benchmark.extra_info["speedup"] = round(speedup, 1)
+    assert speedup >= NATIVE_SAMPLER_REQUIRED_SPEEDUP, (
+        f"native sampler only {speedup:.1f}x faster than the Python loop")
 
 
 @pytest.mark.paper_artifact("campaign throughput")

@@ -43,6 +43,8 @@ HOT_PATHS: Dict[str, str] = {
         "the dense batched channel core (noisy good state)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions":
         "the sparse fade-span walk (every campaign chunk)",
+    "repro.channel._samplerc.NativeSampler.positions":
+        "the native sampler driver (buffer regrowth per re-entry)",
     "repro.dram.engine._PartitionedSource.batches":
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":

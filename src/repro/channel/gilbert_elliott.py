@@ -25,6 +25,8 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.channel import _samplerc
+
 GOOD = 0
 BAD = 1
 
@@ -118,6 +120,7 @@ class GilbertElliottChannel:
         self.rng = rng or np.random.default_rng()
         self._state = BAD if self.rng.random() < params.stationary_bad else GOOD
         self._batch_buffers: Optional[Tuple[Tuple[int, int], NDArray[np.bool_], NDArray[np.float64]]] = None  # (shape, fades, draws) scratch reuse
+        self._native = _samplerc.NativeSampler()
 
     def _fade_runs(self, count: int, runs: List[Tuple[int, int]]) -> None:
         """Advance the chain over one frame and record its fades.
@@ -125,10 +128,12 @@ class GilbertElliottChannel:
         ``runs`` is cleared and refilled with the frame's fade runs as
         half-open ``(start, end)`` symbol spans in ascending order.
 
-        This is the sampling core of every entry point: the draw order
-        (one geometric per dwell, truncated dwells redrawn next frame)
-        is part of the reproducibility contract, so all paths must run
-        exactly this loop.
+        This is the sampling core of every Python entry point: the draw
+        order (one geometric per dwell, truncated dwells redrawn next
+        frame) is part of the reproducibility contract.  The native
+        sampler of :mod:`repro.channel._samplerc` runs a C port of this
+        loop, held to it by a differential battery that compares
+        positions and generator state bit for bit.
         """
         del runs[:]
         params = self.params
@@ -261,10 +266,17 @@ class GilbertElliottChannel:
         the batch is never built densely: each frame's fade runs come
         from the dwell sampler, uniforms are drawn only inside them, and
         the generator is moved past the uniforms of every stretch
-        between fades without producing them: a PCG64 ``advance`` jump,
-        or a draw-and-discard into a scratch row for other generators.
-        The per-symbol cost then scales with the fade fraction, not
-        with the frame length.
+        between fades without producing them.  The per-symbol cost then
+        scales with the fade fraction, not with the frame length.
+
+        On a PCG64 generator (the campaign's ``default_rng``) the whole
+        batch is one call into the compiled sampler of
+        :mod:`repro.channel._samplerc`.  Without it (no C compiler, no
+        NumPy ``libnpyrandom.a``) and on other bit generators the same
+        walk runs in Python, frame by frame: a PCG64 ``advance`` jump
+        over each gap, or a draw-and-discard into a scratch row for
+        other generators and for a PCG64 holding a buffered 32-bit
+        half.  Both give the same positions and end state.
         """
         params = self.params
         if params.p_good > 0.0:
@@ -272,6 +284,12 @@ class GilbertElliottChannel:
                 self._combine_errors(*self._sample_batch(count, frames)))
             return frame_idx, sym_idx
         _check_batch(count, frames)
+        native = self._native.positions(
+            self.rng.bit_generator, self._state, params.p_g2b, params.p_b2g,
+            params.p_bad, count, frames)
+        if native is not None:
+            frame_idx, sym_idx, self._state = native
+            return frame_idx, sym_idx
         skip = _uniform_skipper(self.rng, count)
         random = self.rng.random
         runs: List[Tuple[int, int]] = []

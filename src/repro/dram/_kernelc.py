@@ -15,18 +15,14 @@ auto-close streak cap (closed-page, FR-FCFS-cap) and, for mixed
 sources, the tRTW/tWTR direction-turnaround rules.  It records the
 shared command codes of :mod:`repro.dram.commands` directly.
 
-The object is built from one translation unit with the system C
-compiler at first use (cached per source hash under the user's temp
-directory, override with ``REPRO_KERNELC_CACHE``) and loaded through
-the standard library's ``ctypes``, so it needs no third-party
-package.  A cached object is loaded only from a directory and file
-owned by the current user that nobody else can write; otherwise the
-object is built afresh in a private temporary directory.  Nothing is
-built or loaded at import time.  Without a compiler :func:`load`
-returns ``None`` and :func:`repro.dram.kernel.make_scheduler` picks
-the general engine; a compiler that exists but fails the build also
-warns once, naming the shared-object path and the compiler's last
-stderr lines.
+The object is built, cached and loaded by :mod:`repro._native` (the
+system C compiler at first use, a per-user cache keyed by the source
+hash, override with ``REPRO_KERNELC_CACHE``, and ``ctypes``), so it
+needs no third-party package.  Nothing is built or loaded at import
+time.  Without a compiler :func:`load` returns ``None`` and
+:func:`repro.dram.kernel.make_scheduler` picks the general engine; a
+compiler that exists but fails the build also warns once, naming the
+shared-object path and the compiler's last stderr lines.
 
 All arithmetic is exact int64: timestamps in this project stay below
 ``10**15`` picoseconds and the far-future sentinel is ``10**18``, so no
@@ -40,16 +36,9 @@ first CAS of a phase).
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import stat
-import subprocess
-import tempfile
-import warnings
-from shutil import which
 from typing import Callable, Optional
 
+from repro._native import NativeFunction
 from repro.dram.commands import (CODE_ACT, CODE_PRE, CODE_RD, CODE_REF_ALL,
                                  CODE_REF_BANK, CODE_WR)
 
@@ -598,101 +587,12 @@ for _placeholder, _code in (("@CODE_ACT@", CODE_ACT), ("@CODE_PRE@", CODE_PRE),
 #: Arguments of ``run_segment``, every one an ``int64_t *``.
 N_ARGS = 24
 
-#: Compiler stderr lines quoted by the failed-build warning.
-_STDERR_TAIL_LINES = 8
-
-_loaded: Optional[Callable[..., int]] = None
-_load_attempted = False
-
-
-def _so_name() -> str:
-    """Shared-object file name for the current source (per hash)."""
-    digest = hashlib.sha256(SOURCE.encode("utf-8")).hexdigest()[:20]
-    return f"kernel-{digest}.so"
-
-
-def _cache_path() -> str:
-    """Shared-object path in the per-user cache directory."""
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    root = os.environ.get("REPRO_KERNELC_CACHE") or os.path.join(
-        tempfile.gettempdir(), f"repro-kernelc-{uid}")
-    return os.path.join(root, _so_name())
-
-
-def _is_private(path: str, is_dir: bool) -> bool:
-    """Whether ``path`` is a real directory / regular file (not a
-    symlink) owned by the current user and writable by no one else."""
-    if not hasattr(os, "getuid"):
-        return False
-    try:
-        st = os.lstat(path)
-    except OSError:
-        return False
-    is_kind = stat.S_ISDIR if is_dir else stat.S_ISREG
-    return (is_kind(st.st_mode) and st.st_uid == os.getuid()
-            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
-
-
-def _trusted_cache_path() -> Optional[str]:
-    """The cached object's path if the cache can be trusted, else ``None``.
-
-    The cache directory is created ``0o700``.  A directory or object
-    that another user owns or could have written is never loaded.
-    """
-    so_path = _cache_path()
-    directory = os.path.dirname(so_path)
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-    except OSError:
-        return None
-    if not _is_private(directory, is_dir=True):
-        return None
-    if os.path.lexists(so_path) and not _is_private(so_path, is_dir=False):
-        return None
-    return so_path
-
-
-def _warn_build_failed(so_path: str, detail: str) -> None:
-    """The one loud signal that the native scheduler is off."""
-    warnings.warn(
-        f"native scheduling kernel {so_path} could not be built; "
-        f"using the general engine (same results, slower): {detail}",
-        RuntimeWarning, stacklevel=2)
-
-
-def _compile(so_path: str) -> bool:
-    """Compile :data:`SOURCE` to ``so_path``; ``False`` on any failure.
-
-    No compiler is a quiet ``False``; a compiler that fails warns.
-    """
-    compiler = which("cc") or which("gcc")
-    if compiler is None:
-        return False
-    c_path = so_path + f".{os.getpid()}.c"
-    tmp_so = so_path + f".{os.getpid()}.tmp"
-    try:
-        with open(c_path, "w", encoding="utf-8") as fh:
-            fh.write(SOURCE)
-        proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-            capture_output=True)
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
-            tail = "\n".join(stderr.splitlines()[-_STDERR_TAIL_LINES:])
-            _warn_build_failed(
-                so_path, f"{compiler} exited {proc.returncode}\n{tail}")
-            return False
-        os.replace(tmp_so, so_path)  # atomic vs concurrent builders
-        return True
-    except OSError as exc:
-        _warn_build_failed(so_path, str(exc))
-        return False
-    finally:
-        for leftover in (c_path, tmp_so):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
+#: The compiled segment loop (build, cache and trust rules in
+#: :mod:`repro._native`).
+KERNEL = NativeFunction(
+    "kernel", SOURCE, "run_segment", ctypes.c_int64,
+    [ctypes.c_void_p] * N_ARGS, what="native scheduling kernel",
+    fallback="the general engine (same results, slower)")
 
 
 def load() -> Optional[Callable[..., int]]:
@@ -701,37 +601,9 @@ def load() -> Optional[Callable[..., int]]:
     Builds the shared object on first use.  The result is cached for
     the process; a failed attempt is not retried.
     """
-    global _loaded, _load_attempted
-    if _load_attempted:
-        return _loaded
-    _load_attempted = True
-    so_path = _trusted_cache_path()
-    private_dir = None
-    if so_path is None:
-        try:
-            private_dir = tempfile.mkdtemp(prefix="repro-kernelc-")
-        except OSError as exc:
-            _warn_build_failed(_cache_path(), str(exc))
-            return None
-        so_path = os.path.join(private_dir, _so_name())
-    try:
-        if not os.path.exists(so_path) and not _compile(so_path):
-            return None
-        try:
-            run_segment = ctypes.CDLL(so_path).run_segment
-        except (OSError, AttributeError) as exc:
-            _warn_build_failed(so_path, str(exc))
-            return None
-    finally:
-        if private_dir is not None:
-            # The mapped object outlives its file; nothing is left behind.
-            shutil.rmtree(private_dir, ignore_errors=True)
-    run_segment.restype = ctypes.c_int64
-    run_segment.argtypes = [ctypes.c_void_p] * N_ARGS
-    _loaded = run_segment
-    return _loaded
+    return KERNEL.load()
 
 
 def available() -> bool:
     """Whether the compiled segment loop can be used in this process."""
-    return load() is not None
+    return KERNEL.available()

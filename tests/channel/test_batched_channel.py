@@ -17,8 +17,13 @@ from repro.channel.burst_stats import (
     errors_per_codeword_frames,
     frame_burst_profiles,
 )
+from repro.channel import _samplerc
 from repro.channel.codeword import CodewordConfig, decode_mask, decode_masks
-from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
+from repro.channel.gilbert_elliott import (
+    BAD,
+    GilbertElliottChannel,
+    GilbertElliottParams,
+)
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
 from repro.system.downlink import OpticalDownlink
 
@@ -239,6 +244,198 @@ class TestSparseFadeSampling:
             channel.error_positions(-1, 3)
         with pytest.raises(ValueError):
             channel.error_positions(5, -2)
+
+
+@pytest.fixture
+def native_sampler():
+    """Skip unless the compiled channel sampler loads (CI asserts it)."""
+    if not _samplerc.available():
+        pytest.skip("native channel sampler unavailable")
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """``python_loop(fn)`` runs ``fn()`` with the native sampler forced off."""
+    def run(fn):
+        with monkeypatch.context() as forced:
+            forced.setattr(_samplerc, "load", lambda: None)
+            return fn()
+    return run
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Count the compiled sampler's calls (one per batch, plus regrowths)."""
+    real = _samplerc.load()
+    calls = []
+
+    def counting(*args):
+        result = real(*args)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(_samplerc, "load", lambda: counting)
+    return calls
+
+
+@pytest.mark.usefixtures("native_sampler")
+class TestNativeSampler:
+    """The compiled sparse sampler against the Python dwell loop.
+
+    Twin PCG64 channels from one seed: one samples natively, the other
+    runs ``error_positions``' Python loop with the native path forced
+    off.  Positions, dtypes, ``bit_generator.state`` (buffered 32-bit
+    half included) and the chain state must all be equal.
+    """
+
+    SPARSE = TestSparseFadeSampling.SPARSE
+    DENSE_FADES = TestSparseFadeSampling.DENSE_FADES
+
+    @staticmethod
+    def _twins(params, seed, state=None):
+        twins = _channel_pair(seed, params)
+        if state is not None:
+            for channel in twins:
+                channel._state = state
+        return twins
+
+    @staticmethod
+    def _assert_same(native, oracle, python_loop, count, frames):
+        got = native.error_positions(count, frames)
+        expected = python_loop(lambda: oracle.error_positions(count, frames))
+        for left, right in zip(got, expected):
+            assert np.array_equal(left, right)
+            assert left.dtype == right.dtype
+        assert _same_state(native.rng.bit_generator.state,
+                           oracle.rng.bit_generator.state)
+        assert native._state == oracle._state
+        return got
+
+    @pytest.mark.parametrize("seed,params", [
+        (seed, params) for seed, params in PARAM_SETS
+        if params.p_good == 0.0], ids=lambda v: getattr(v, "p_g2b", v))
+    def test_fresh_generator(self, seed, params, python_loop):
+        native, oracle = self._twins(params, seed)
+        for count, frames in ((4704, 16), (311, 8), (1, 40), (64, 33)):
+            self._assert_same(native, oracle, python_loop, count, frames)
+
+    def test_largest_campaign_frame_is_one_call(self, python_loop,
+                                                native_calls):
+        native, oracle = self._twins(self.SPARSE, 3)
+        frame_idx, _ = self._assert_same(native, oracle, python_loop,
+                                         4704, 128)
+        assert frame_idx.size > 0
+        assert native_calls == [128]
+
+    @pytest.mark.parametrize("draw,buffered", [
+        (lambda rng: rng.integers(0, 7, size=3, dtype=np.uint16), 0),
+        (lambda rng: rng.integers(0, 1 << 20, dtype=np.uint32), 1),
+        (lambda rng: rng.integers(0, 7, size=4, dtype=np.uint8), 1),
+    ], ids=["uint16x3", "uint32", "uint8x4"])
+    def test_buffered_half(self, draw, buffered, python_loop):
+        native, oracle = self._twins(self.DENSE_FADES, 5)
+        draw(native.rng)
+        draw(oracle.rng)
+        assert native.rng.bit_generator.state["has_uint32"] == buffered
+        self._assert_same(native, oracle, python_loop, 500, 12)
+        # The buffered half survives the call and feeds the next draw.
+        assert np.array_equal(native.rng.integers(0, 1000, 5, dtype=np.uint16),
+                              oracle.rng.integers(0, 1000, 5, dtype=np.uint16))
+        self._assert_same(native, oracle, python_loop, 500, 12)
+
+    def test_after_corrupt(self, python_loop):
+        native, oracle = self._twins(self.DENSE_FADES, 9)
+        symbols = np.zeros(37, dtype=np.uint8)
+        assert np.array_equal(native.corrupt(symbols),
+                              python_loop(lambda: oracle.corrupt(symbols)))
+        self._assert_same(native, oracle, python_loop, 300, 10)
+
+    @pytest.mark.parametrize("p_g2b,p_b2g", [
+        (0.5, 1.0), (1.0, 1.0), (1 / 3, 1.0), (0.4, 0.5), (0.9, 0.05),
+        (0.01, 1.0)])
+    def test_search_branch_and_dwells_ending_at_the_frame_end(
+            self, p_g2b, p_b2g, python_loop):
+        # p >= 1/3 draws by sequential search; p_b2g = 1 makes one-symbol
+        # fades, and p = 1 dwells end exactly at the frame end.
+        params = GilbertElliottParams(p_g2b=p_g2b, p_b2g=p_b2g, p_bad=0.5)
+        native, oracle = self._twins(params, 4)
+        for count in (97, 1, 2, 64):
+            self._assert_same(native, oracle, python_loop, count, 6)
+
+    @pytest.mark.parametrize("p_g2b", [1e-18, 1e-300])
+    def test_huge_dwell_does_not_overflow(self, p_g2b, python_loop):
+        # The good dwell after the first fade is ~1e18 symbols (1e-18) or
+        # clamped to INT64_MAX (1e-300) while the position is past 0.
+        params = GilbertElliottParams(p_g2b=p_g2b, p_b2g=0.05, p_bad=0.7)
+        native, oracle = self._twins(params, 6, state=BAD)
+        frame_idx, _ = self._assert_same(native, oracle, python_loop, 64, 5)
+        assert frame_idx.size > 0
+        self._assert_same(native, oracle, python_loop, 64, 5)
+        assert native._state != BAD
+
+    def test_fades_cross_frame_and_batch_boundaries(self, python_loop):
+        # Mean fade 500 symbols over 64-symbol frames: fades span many
+        # frames and the uneven batches cut through them.
+        params = GilbertElliottParams(p_g2b=1e-3, p_b2g=1 / 500.0, p_bad=0.7)
+        native, oracle = self._twins(params, 21)
+        hit_frames = 0
+        for frames in (3, 5, 1, 7, 16, 2, 40):
+            frame_idx, _ = self._assert_same(native, oracle, python_loop,
+                                             64, frames)
+            hit_frames += np.unique(frame_idx).size
+        assert hit_frames > 20
+
+    def test_hits_beyond_the_estimate_regrow_the_buffer(self, python_loop,
+                                                        native_calls):
+        # Expected hits are ~0, but the chain starts in a fade of mean
+        # 10,000 symbols: every frame is hit and the buffer must regrow.
+        params = GilbertElliottParams(p_g2b=1e-9, p_b2g=1e-4, p_bad=0.9)
+        native, oracle = self._twins(params, 8, state=BAD)
+        frame_idx, _ = self._assert_same(native, oracle, python_loop,
+                                         100, 40)
+        assert frame_idx.size > 1000
+        assert len(native_calls) > 1
+        assert native_calls[-1] == 40
+
+    @pytest.mark.parametrize("count,frames", [(0, 4), (10, 0), (0, 0)])
+    def test_empty_batches(self, count, frames, python_loop):
+        native, oracle = self._twins(self.DENSE_FADES, 2)
+        frame_idx, sym_idx = self._assert_same(native, oracle, python_loop,
+                                               count, frames)
+        assert frame_idx.size == sym_idx.size == 0
+        self._assert_same(native, oracle, python_loop, 50, 3)
+
+    def test_alternating_entry_points(self, python_loop):
+        native, oracle = self._twins(self.DENSE_FADES, 13)
+        for step in range(9):
+            if step % 3 == 1:
+                assert np.array_equal(native.error_masks(211, 5),
+                                      oracle.error_masks(211, 5))
+            elif step % 3 == 2:
+                assert np.array_equal(native.state_masks(211, 4),
+                                      oracle.state_masks(211, 4))
+            else:
+                self._assert_same(native, oracle, python_loop, 211, 5)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:],
+                             ids=lambda g: g.__name__)
+    def test_other_bit_generators_take_the_python_loop(self, bit_generator,
+                                                       monkeypatch):
+        monkeypatch.setattr(_samplerc, "load", lambda: pytest.fail(
+            f"{bit_generator.__name__} must not reach the native sampler"))
+        sparse, dense = _sparse_dense_twins(self.DENSE_FADES, 17,
+                                            bit_generator)
+        _assert_sparse_matches_dense(sparse, dense, 311, 8)
+
+    def test_default_campaign_cells(self, python_loop):
+        from repro.store.jobs import grid_from_spec
+        from repro.system.campaign import evaluate_cell
+
+        grid = grid_from_spec({})
+        assert len(grid) == 162
+        native = [evaluate_cell(cell) for cell in grid]
+        forced = python_loop(lambda: [evaluate_cell(cell) for cell in grid])
+        assert native == forced
 
 
 class TestBatchedDecoding:

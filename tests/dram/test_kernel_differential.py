@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.dram import _kernelc
 from repro.dram import kernel as kernel_module
 from repro.dram._reference import reference_run_phase
@@ -375,106 +376,21 @@ class TestSchedulerSelection:
                 stderr=b"kernel.c:1: error: simulated failure\n")
 
         monkeypatch.setenv("REPRO_KERNELC_CACHE", str(tmp_path))
-        monkeypatch.setattr(_kernelc, "which", lambda name: "/usr/bin/cc")
-        monkeypatch.setattr(_kernelc.subprocess, "run", failing_build)
-        monkeypatch.setattr(_kernelc, "_loaded", None)
-        monkeypatch.setattr(_kernelc, "_load_attempted", False)
+        monkeypatch.setattr(_native, "which", lambda name: "/usr/bin/cc")
+        monkeypatch.setattr(_native.subprocess, "run", failing_build)
+        monkeypatch.setattr(_kernelc.KERNEL, "_function", None)
+        monkeypatch.setattr(_kernelc.KERNEL, "_attempted", False)
         with pytest.warns(RuntimeWarning) as caught:
             controller = MemoryController(ddr4)
         assert len(caught) == 1
         message = str(caught[0].message)
-        assert _kernelc._cache_path() in message
+        assert _kernelc.KERNEL.cache_path() in message
         assert "simulated failure" in message
         assert type(controller._engine) is SchedulingEngine
         stats = controller.run_phase(mapping.read_addresses_array(),
                                      OP_READ).stats
         assert stats == expected
         assert stats.energy_tally == expected.energy_tally
-
-
-class TestCacheTrust:
-    """A cached object another user could have written is never loaded."""
-
-    @pytest.fixture
-    def fresh_load(self, tmp_path, monkeypatch):
-        """Point the cache at ``tmp_path/cache`` and record every load."""
-        if _kernelc.which("cc") is None and _kernelc.which("gcc") is None:
-            pytest.skip("no C compiler")
-        cache = tmp_path / "cache"
-        private_root = tmp_path / "private"
-        private_root.mkdir()
-        monkeypatch.setenv("REPRO_KERNELC_CACHE", str(cache))
-        monkeypatch.setattr(_kernelc.tempfile, "tempdir", str(private_root))
-        monkeypatch.setattr(_kernelc, "_loaded", None)
-        monkeypatch.setattr(_kernelc, "_load_attempted", False)
-        loaded_paths = []
-        real_cdll = _kernelc.ctypes.CDLL
-
-        def recording_cdll(path, *args, **kwargs):
-            loaded_paths.append(str(path))
-            return real_cdll(path, *args, **kwargs)
-
-        monkeypatch.setattr(_kernelc.ctypes, "CDLL", recording_cdll)
-        return cache, private_root, loaded_paths
-
-    def _plant(self, cache):
-        cache.mkdir(mode=0o700, exist_ok=True)
-        planted = cache / _kernelc._so_name()
-        planted.write_bytes(b"not a shared object")
-        return planted
-
-    def _assert_built_privately(self, planted, private_root, loaded_paths):
-        assert _kernelc.load() is not None
-        assert str(planted) not in loaded_paths
-        assert len(loaded_paths) == 1
-        assert loaded_paths[0].startswith(str(private_root))
-        assert planted.read_bytes() == b"not a shared object"
-        assert list(private_root.iterdir()) == []  # private build removed
-
-    def test_foreign_owned_cache_dir_not_loaded(self, fresh_load,
-                                                monkeypatch):
-        cache, private_root, loaded_paths = fresh_load
-        planted = self._plant(cache)
-        real_uid = _kernelc.os.getuid()
-        monkeypatch.setattr(_kernelc.os, "getuid", lambda: real_uid + 1)
-        self._assert_built_privately(planted, private_root, loaded_paths)
-
-    def test_group_writable_object_not_loaded(self, fresh_load):
-        cache, private_root, loaded_paths = fresh_load
-        planted = self._plant(cache)
-        planted.chmod(0o664)
-        self._assert_built_privately(planted, private_root, loaded_paths)
-
-    def test_world_writable_cache_dir_not_loaded(self, fresh_load):
-        cache, private_root, loaded_paths = fresh_load
-        planted = self._plant(cache)
-        cache.chmod(0o777)
-        self._assert_built_privately(planted, private_root, loaded_paths)
-
-    def test_symlinked_object_not_loaded(self, fresh_load, tmp_path):
-        cache, private_root, loaded_paths = fresh_load
-        cache.mkdir(mode=0o700)
-        target = tmp_path / "elsewhere.so"
-        target.write_bytes(b"not a shared object")
-        link = cache / _kernelc._so_name()
-        link.symlink_to(target)
-        assert _kernelc.load() is not None
-        assert str(link) not in loaded_paths
-        assert loaded_paths[0].startswith(str(private_root))
-
-    def test_own_private_cache_is_built_and_reused(self, fresh_load,
-                                                   monkeypatch):
-        cache, private_root, loaded_paths = fresh_load
-        assert _kernelc.load() is not None
-        so_path = cache / _kernelc._so_name()
-        assert loaded_paths == [str(so_path)]
-        assert cache.stat().st_mode & 0o077 == 0
-        monkeypatch.setattr(_kernelc, "_loaded", None)
-        monkeypatch.setattr(_kernelc, "_load_attempted", False)
-        monkeypatch.setattr(_kernelc, "_compile", lambda path: pytest.fail(
-            "a trusted cached object must be reused, not rebuilt"))
-        assert _kernelc.load() is not None
-        assert loaded_paths == [str(so_path)] * 2
 
 
 @pytest.mark.usefixtures("native_kernel")
